@@ -26,12 +26,11 @@ three heuristic rules remove edges that cannot be responsible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.arch.machine import GpuArchitecture
 from repro.blame.graph import DependencyEdge, DependencyGraph
-from repro.blame.slicing import Resource
 from repro.isa.instruction import Instruction
 from repro.sampling.stall_reasons import StallReason
 from repro.structure.program import ProgramStructure
@@ -101,43 +100,36 @@ def edge_supports_reason(
     return False
 
 
-def _dominator_rule_applies(
-    edge: DependencyEdge,
-    graph: DependencyGraph,
-    structure: ProgramStructure,
-) -> bool:
-    """Whether an intervening non-predicated use kills the edge."""
-    function_structure = structure.function(edge.source[0])
-    cfg = function_structure.cfg
-    source_offset = edge.source[1]
-    dest_offset = edge.dest[1]
-    registers: Set[int] = {index for kind, index in edge.resources if kind == "R"}
+def _dominator_rule_applies(edge: DependencyEdge, structure: ProgramStructure) -> bool:
+    """Whether an intervening non-predicated use kills the edge.
+
+    Only positions strictly after the source (in its block) and strictly
+    before the destination (in its block) are scanned.  When the
+    destination precedes the source in one block (a loop-carried edge) the
+    bounds are empty and the edge is kept, even when a use on the way
+    around the loop would kill it: a known defect, left in place because
+    fixing it changes registry results.
+    """
+    registers = {resource for resource in edge.resources if resource[0] == "R"}
     if not registers:
         return False
 
+    cfg = structure.function(edge.source[0]).cfg
+    source_offset = edge.source[1]
+    dest_offset = edge.dest[1]
     try:
         blocks_on_all_paths = cfg.blocks_on_all_paths(source_offset, dest_offset)
     except KeyError:
         return False
-    source_block = cfg.block_containing(source_offset)
-    dest_block = cfg.block_containing(dest_offset)
+    source_block = cfg.block_containing(source_offset).index
+    dest_block = cfg.block_containing(dest_offset).index
 
     for block_index in blocks_on_all_paths:
-        block = cfg.blocks[block_index]
-        for instruction in block.instructions:
-            offset = instruction.offset
-            if offset in (source_offset, dest_offset):
-                continue
-            # Restrict to instructions strictly between source and dest in
-            # program position when they share a block with either endpoint.
-            if block_index == source_block.index and offset < source_offset:
-                continue
-            if block_index == dest_block.index and offset > dest_offset:
-                continue
-            if instruction.is_predicated:
-                continue
-            used = {register.index for register in instruction.used_registers}
-            if used & registers:
+        instructions = cfg.blocks[block_index].instructions
+        start = cfg.position_of(source_offset) + 1 if block_index == source_block else 0
+        stop = cfg.position_of(dest_offset) if block_index == dest_block else len(instructions)
+        for instruction in instructions[start:stop]:
+            if not instruction.is_predicated and instruction.used_resources & registers:
                 return True
     return False
 
@@ -190,7 +182,7 @@ def prune_cold_edges(
             continue
 
         # Rule 2: dominator-based.
-        if _dominator_rule_applies(edge, graph, structure):
+        if _dominator_rule_applies(edge, structure):
             to_remove.append(edge)
             statistics.removed_by_dominator += 1
             continue

@@ -23,6 +23,7 @@ binary slicing (Section 4, "Backward slicing"):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -95,22 +96,12 @@ def _predicate_union_covers(cover: FrozenSet[Tuple[int, bool]], use: Predicate) 
     return (use.index, use.negated) in cover
 
 
-def _resources_defined(instruction: Instruction) -> Set[Resource]:
-    resources: Set[Resource] = set()
-    for register in instruction.defined_registers:
-        resources.add(("R", register.index))
-    for barrier in instruction.defined_barriers:
-        resources.add(("B", barrier.index))
-    return resources
-
-
-def _resources_used(instruction: Instruction) -> Set[Resource]:
-    resources: Set[Resource] = set()
-    for register in instruction.used_registers:
-        resources.add(("R", register.index))
-    for barrier in instruction.waited_barriers:
-        resources.add(("B", barrier.index))
-    return resources
+def _def_positions(instructions: Sequence[Instruction]) -> Dict[Resource, List[int]]:
+    positions: Dict[Resource, List[int]] = {}
+    for position, instruction in enumerate(instructions):
+        for resource in instruction.defined_resources:
+            positions.setdefault(resource, []).append(position)
+    return positions
 
 
 class BackwardSlicer:
@@ -120,6 +111,10 @@ class BackwardSlicer:
         self.cfg = cfg
         self.max_visited_blocks = max_visited_blocks
         self._cache: Dict[int, ImmediateDependencies] = {}
+        # Per block index: resource -> ascending positions of its defs.
+        self._def_positions: List[Dict[Resource, List[int]]] = [
+            _def_positions(block.instructions) for block in cfg.blocks
+        ]
 
     # ------------------------------------------------------------------
     def slice_instruction(self, use_offset: int) -> ImmediateDependencies:
@@ -130,7 +125,7 @@ class BackwardSlicer:
         dependencies = ImmediateDependencies(
             use_offset=use_offset, use_instruction=use_instruction
         )
-        for resource in sorted(_resources_used(use_instruction)):
+        for resource in sorted(use_instruction.used_resources):
             sites = self._find_defs(use_offset, use_instruction, resource)
             if sites:
                 dependencies.defs[resource] = sites
@@ -162,34 +157,27 @@ class BackwardSlicer:
             Returns the updated predicate cover and whether the search along
             this path is complete (the cover contains the use predicate).
             """
-            block = cfg.blocks[block_index]
-            instructions = block.instructions
-            position = (len(instructions) if start_position is None else start_position) - 1
+            instructions = cfg.blocks[block_index].instructions
+            positions = self._def_positions[block_index].get(resource, ())
+            end = len(positions) if start_position is None else bisect_left(positions, start_position)
             current = set(cover)
-            while position >= 0:
+            for position in reversed(positions[:end]):
                 candidate = instructions[position]
-                if resource in _resources_defined(candidate):
-                    found.setdefault(
-                        candidate.offset,
-                        DefSite(
-                            offset=candidate.offset,
-                            instruction=candidate,
-                            resource=resource,
-                            predicate=candidate.predicate,
-                        ),
-                    )
-                    current.add(predicate_key(candidate.predicate))
-                    if _predicate_union_covers(frozenset(current), use_predicate):
-                        return frozenset(current), True
-                position -= 1
+                found.setdefault(
+                    candidate.offset,
+                    DefSite(
+                        offset=candidate.offset,
+                        instruction=candidate,
+                        resource=resource,
+                        predicate=candidate.predicate,
+                    ),
+                )
+                current.add(predicate_key(candidate.predicate))
+                if _predicate_union_covers(frozenset(current), use_predicate):
+                    return frozenset(current), True
             return frozenset(current), False
 
-        # Position of the use inside its own block.
-        use_position = next(
-            index
-            for index, instruction in enumerate(use_block.instructions)
-            if instruction.offset == use_offset
-        )
+        use_position = cfg.position_of(use_offset)
 
         visited: Set[Tuple[int, FrozenSet[Tuple[int, bool]]]] = set()
         stack: List[Tuple[int, Optional[int], FrozenSet[Tuple[int, bool]]]] = [

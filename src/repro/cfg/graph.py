@@ -40,6 +40,15 @@ class ControlFlowGraph:
     # Populated lazily.
     _block_of_offset: Optional[Dict[int, int]] = field(default=None, repr=False)
     _instruction_of_offset: Optional[Dict[int, Instruction]] = field(default=None, repr=False)
+    _position_of_offset: Optional[Dict[int, int]] = field(default=None, repr=False)
+    # Path-query memos, keyed by (source, dest, longest) offsets and by
+    # (source block, dest block); a CFG is immutable once built.
+    _path_memo: Dict[Tuple[int, int, bool], Optional[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _all_paths_memo: Dict[Tuple[int, int], FrozenSet[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -64,6 +73,14 @@ class ControlFlowGraph:
         except KeyError as exc:
             raise KeyError(f"no instruction at offset {offset:#x}") from exc
 
+    def position_of(self, offset: int) -> int:
+        """Index of the instruction at ``offset`` within its basic block."""
+        self._ensure_offset_maps()
+        try:
+            return self._position_of_offset[offset]
+        except KeyError as exc:
+            raise KeyError(f"no instruction at offset {offset:#x}") from exc
+
     def instructions(self) -> List[Instruction]:
         """All instructions in offset order."""
         result = []
@@ -73,15 +90,18 @@ class ControlFlowGraph:
         return result
 
     def _ensure_offset_maps(self) -> None:
-        if self._block_of_offset is None or self._instruction_of_offset is None:
+        if self._position_of_offset is None:
             block_map: Dict[int, int] = {}
             instruction_map: Dict[int, Instruction] = {}
+            position_map: Dict[int, int] = {}
             for block in self.blocks:
-                for instruction in block.instructions:
+                for position, instruction in enumerate(block.instructions):
                     block_map[instruction.offset] = block.index
                     instruction_map[instruction.offset] = instruction
+                    position_map[instruction.offset] = position
             self._block_of_offset = block_map
             self._instruction_of_offset = instruction_map
+            self._position_of_offset = position_map
 
     # ------------------------------------------------------------------
     # Graph queries
@@ -156,14 +176,22 @@ class ControlFlowGraph:
     def _path_instructions(
         self, source_offset: int, dest_offset: int, longest: bool
     ) -> Optional[int]:
+        key = (source_offset, dest_offset, longest)
+        if key not in self._path_memo:
+            self._path_memo[key] = self._search_path_instructions(*key)
+        return self._path_memo[key]
+
+    def _search_path_instructions(
+        self, source_offset: int, dest_offset: int, longest: bool
+    ) -> Optional[int]:
         self._ensure_offset_maps()
         if source_offset not in self._block_of_offset or dest_offset not in self._block_of_offset:
             return None
         source_block = self.blocks[self._block_of_offset[source_offset]]
         dest_block = self.blocks[self._block_of_offset[dest_offset]]
 
-        source_position = _position_in_block(source_block, source_offset)
-        dest_position = _position_in_block(dest_block, dest_offset)
+        source_position = self._position_of_offset[source_offset]
+        dest_position = self._position_of_offset[dest_offset]
 
         if source_block.index == dest_block.index and source_position < dest_position:
             within = dest_position - source_position - 1
@@ -229,16 +257,17 @@ class ControlFlowGraph:
         source_block = self._block_of_offset[source_offset]
         dest_block = self._block_of_offset[dest_offset]
 
-        # A block b is on every path iff removing b disconnects source from dest
-        # (or b is the source/dest block itself).
-        on_all: Set[int] = set()
-        for block in self.blocks:
-            if block.index in (source_block, dest_block):
-                on_all.add(block.index)
-                continue
-            if not self._reachable_avoiding(source_block, dest_block, block.index):
-                on_all.add(block.index)
-        return on_all
+        key = (source_block, dest_block)
+        if key not in self._all_paths_memo:
+            # A block b is on every path iff removing b disconnects source
+            # from dest (or b is the source/dest block itself).
+            self._all_paths_memo[key] = frozenset(
+                block.index
+                for block in self.blocks
+                if block.index in key
+                or not self._reachable_avoiding(source_block, dest_block, block.index)
+            )
+        return set(self._all_paths_memo[key])
 
     def _reachable_avoiding(self, start: int, goal: int, banned: int) -> bool:
         if start == banned or goal == banned:
@@ -257,13 +286,6 @@ class ControlFlowGraph:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-
-def _position_in_block(block: BasicBlock, offset: int) -> int:
-    for position, instruction in enumerate(block.instructions):
-        if instruction.offset == offset:
-            return position
-    raise KeyError(f"offset {offset:#x} not in block {block.index}")
 
 
 def build_cfg(instructions: Sequence[Instruction]) -> ControlFlowGraph:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.isa.opcodes import OpcodeInfo, lookup_opcode_tolerant, opcode_is_known
 from repro.isa.registers import (
@@ -44,6 +44,19 @@ INSTRUCTION_SIZE = 16
 
 #: Maximum stall-cycle value encodable in a control code (4 bits).
 MAX_STALL_CYCLES = 15
+
+#: Interned slicer resource sets.  Programs repeat few distinct def/use sets
+#: (135 across the registry), and the simulator's metadata memo keeps
+#: instructions alive, so each holds a shared copy rather than its own.
+_RESOURCE_SETS: Dict[FrozenSet[Tuple[str, int]], FrozenSet[Tuple[str, int]]] = {}
+
+
+def _resource_set(registers, barriers) -> FrozenSet[Tuple[str, int]]:
+    resources = frozenset(
+        [("R", register.index) for register in registers]
+        + [("B", barrier.index) for barrier in barriers]
+    )
+    return _RESOURCE_SETS.setdefault(resources, resources)
 
 
 @dataclass(frozen=True)
@@ -261,6 +274,21 @@ class Instruction:
     def waited_barriers(self) -> FrozenSet[BarrierRegister]:
         """Virtual barrier registers waited on by this instruction."""
         return self.control.waited_barriers
+
+    @cached_property
+    def defined_resources(self) -> FrozenSet[Tuple[str, int]]:
+        """Resources the backward slicer treats as defined here.
+
+        ``("R", i)`` for each written register and ``("B", i)`` for each
+        virtual barrier register set by the control code (Figure 3).
+        """
+        return _resource_set(self.defined_registers, self.defined_barriers)
+
+    @cached_property
+    def used_resources(self) -> FrozenSet[Tuple[str, int]]:
+        """Resources read here: registers as ``("R", i)``, waited barriers as
+        ``("B", i)``."""
+        return _resource_set(self.used_registers, self.waited_barriers)
 
     @staticmethod
     def _expand_register(operand: RegisterOperand, width: int):

@@ -114,3 +114,68 @@ class TestPruning:
         assert program[0].offset in remaining_sources      # LDG kept
         assert program[1].offset in remaining_sources      # LDC kept
         assert statistics.removed_by_opcode >= 1
+
+    @staticmethod
+    def _prune_single_edge(text, source_index, dest_index):
+        """Prune one memory-dependency edge between two instructions of ``text``."""
+        from repro.blame.graph import DependencyEdge, DependencyGraph, DependencyNode
+        from repro.cubin.binary import Cubin, Function, FunctionVisibility
+        from repro.isa.parser import parse_program
+        from repro.structure.program import build_program_structure
+
+        program = parse_program(text)
+        cubin = Cubin(arch_flag="sm_70")
+        cubin.add_function(Function("k", FunctionVisibility.GLOBAL, program))
+        source, dest = program[source_index], program[dest_index]
+        graph = DependencyGraph()
+        graph.add_node(DependencyNode("k", dest.offset, dest,
+                                      stalls={StallReason.MEMORY_DEPENDENCY: 8}))
+        graph.add_node(DependencyNode("k", source.offset, source))
+        graph.add_edge(DependencyEdge(("k", source.offset), ("k", dest.offset),
+                                      frozenset({("R", 0)})))
+        return prune_cold_edges(graph, build_program_structure(cubin), VoltaV100)
+
+    def test_dominator_rule_removes_edge_behind_an_unpredicated_use(self):
+        statistics = self._prune_single_edge(
+            """
+            LDG.E.32 R0, [R2]
+            IADD R3, R0, R1
+            IADD R4, R0, R1
+            EXIT
+            """,
+            source_index=0, dest_index=2,
+        )
+        assert statistics.removed_by_dominator == 1
+
+    def test_dominator_rule_keeps_edge_when_the_use_is_predicated(self):
+        statistics = self._prune_single_edge(
+            """
+            LDG.E.32 R0, [R2]
+            @P0 IADD R3, R0, R1
+            IADD R4, R0, R1
+            EXIT
+            """,
+            source_index=0, dest_index=2,
+        )
+        assert statistics.removed_by_dominator == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the dominator rule scans nothing for a loop-carried "
+        "edge whose destination precedes its source in the same block",
+    )
+    def test_dominator_rule_removes_loop_carried_edge_behind_a_use(self):
+        # 0x20 -> 0x10 runs 0x30 (an unpredicated use of R0) on every path
+        # around the loop, so the stall would be observed there instead.
+        statistics = self._prune_single_edge(
+            """
+            MOV32I R0, 1
+            IADD R3, R0, R1
+            LDG.E.32 R0, [R2]
+            IADD R4, R0, R1
+            @P0 BRA 0x10
+            EXIT
+            """,
+            source_index=2, dest_index=1,
+        )
+        assert statistics.removed_by_dominator == 1

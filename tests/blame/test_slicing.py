@@ -36,6 +36,17 @@ def test_figure3_barrier_register_dependency():
     assert any(resource[0] == "B" for resource in deps.defs)
 
 
+def test_figure3_barrier_registers_are_def_and_use_resources():
+    """The LDG's write barrier is a def and the BRA's wait a use (Figure 3)."""
+    _slicer, program = slicer_for("LDG.E.32 R0, [R2]\nBRA 0x100\nEXIT", assign=True)
+    load, branch = program[0], program[1]
+    barrier = ("B", load.control.write_barrier)
+    assert load.defined_resources == {("R", 0), barrier}
+    assert ("R", 2) in load.used_resources
+    assert barrier in branch.used_resources
+    assert barrier not in branch.defined_resources
+
+
 def test_figure4_predicated_defs_both_kept():
     """Figure 4a: an unpredicated use keeps both @P0 and @!P0 defs plus other paths."""
     slicer, program = slicer_for(
@@ -121,3 +132,23 @@ def test_instruction_without_register_uses_has_no_defs():
     slicer, program = slicer_for("MOV32I R1, 5\nEXIT")
     deps = slicer.slice_instruction(program[1].offset)
     assert not deps
+
+
+def test_max_visited_blocks_truncates_the_search():
+    text = """
+        MOV32I R0, 1
+        @P0 BRA MID
+        MID:
+        @P1 BRA USE
+        USE:
+        IADD R3, R0, R1
+        EXIT
+        """
+    program = parse_program(text)
+    use = program[3]
+    # The def sits three blocks up from the use: entry -> MID -> USE.
+    assert BackwardSlicer(build_cfg(program)).slice_instruction(use.offset).source_offsets() == [
+        program[0].offset
+    ]
+    truncated = BackwardSlicer(build_cfg(program), max_visited_blocks=2)
+    assert not truncated.slice_instruction(use.offset)

@@ -116,3 +116,35 @@ class TestPathQueries:
         else_index = cfg.block_containing(0x20).index
         assert then_index not in blocks
         assert else_index not in blocks
+
+    def test_blocks_on_all_paths_hands_out_a_fresh_set(self):
+        cfg = build_cfg(diamond())
+        first = cfg.blocks_on_all_paths(0x0, 0x50)
+        expected = set(first)
+        first.clear()
+        first.add(-1)
+        assert cfg.blocks_on_all_paths(0x0, 0x50) == expected
+
+
+class TestOffsetIndex:
+    def test_position_of_unknown_offset_raises(self):
+        cfg = build_cfg(simple_loop())
+        with pytest.raises(KeyError):
+            cfg.position_of(0x1000)
+
+    def test_position_map_matches_block_enumeration_on_registry_cfgs(self):
+        from repro.structure.program import build_program_structure
+        from repro.workloads.registry import all_cases
+
+        checked = 0
+        for case in all_cases():
+            for setup in (case.build_baseline(), case.build_optimized()):
+                structure = build_program_structure(setup.cubin)
+                for function in structure.functions.values():
+                    cfg = function.cfg
+                    for block in cfg.blocks:
+                        for position, instruction in enumerate(block.instructions):
+                            assert cfg.position_of(instruction.offset) == position
+                            assert cfg.block_containing(instruction.offset) is block
+                            checked += 1
+        assert checked > 0
