@@ -9,20 +9,14 @@ accidental slow-down of the simulator cannot land silently::
     PYTHONPATH=src python benchmarks/check_simulator_regression.py fresh.json
 
 Both files hold a list of pinned **measurement blocks** (one per simulator
-configuration x simulator backend — the flat single-wave path and the
-whole-GPU + hierarchy path, each on the ``vector`` and the ``object``
-core), and the gate is applied *block for block*: every reference block
+configuration — the flat single-wave path and the whole-GPU + hierarchy
+path), and the gate is applied *block for block*: every reference block
 must have a fresh twin that measured the identical workload (same case
-list, simulation scope, memory model, sample period **and** simulator
-backend), and every twin must hold its throughput.  A fresh run that
-silently skipped the expensive configuration — or that dropped the vector
-core, e.g. because numpy vanished from the runner and every measurement
-quietly fell back to the object core — therefore fails the gate instead of
-passing vacuously.  The reference itself must pin at least one vector
-block; a baseline regenerated without the vector core is rejected so the
-gate cannot be weakened by accident.  Pre-suite single-block summaries
-(and ad-hoc ``--scope ...`` measurements) are still understood — they are
-treated as one-block lists measuring the historical ``object`` core.
+list, simulation scope, memory model and sample period), and every twin
+must hold its throughput.  A fresh run that silently skipped the expensive
+configuration therefore fails the gate instead of passing vacuously.
+Pre-suite single-block summaries (and ad-hoc ``--scope ...``
+measurements) are still understood — they are treated as one-block lists.
 
 The gate is one-sided: faster is always fine.  The committed reference is
 refreshed by hand — rerun ``simulator_smoke.py --repeat 3 --output
@@ -47,12 +41,9 @@ from typing import List, Tuple
 DEFAULT_REFERENCE = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
 #: The workload-identity fields two blocks must share to be comparable
-#: (with the defaults pre-suite summaries implied).  Blocks recorded before
-#: the vector core existed carry no ``simulator_backend`` key; they measured
-#: the object core, so that is the implied default.
+#: (with the defaults pre-suite summaries implied).
 IDENTITY = (("cases", None), ("simulation_scope", "single_wave"),
-            ("memory_model", "flat"), ("sample_period", 8),
-            ("simulator_backend", "object"))
+            ("memory_model", "flat"), ("sample_period", 8))
 
 
 def blocks_of(summary: dict, origin: str) -> List[dict]:
@@ -78,7 +69,6 @@ def describe(block: dict) -> str:
     return (
         f"{block.get('simulation_scope', 'single_wave')}"
         f"+{block.get('memory_model', 'flat')}"
-        f" backend={block.get('simulator_backend', 'object')}"
         f" over {len(block.get('cases') or [])} cases"
     )
 
@@ -117,14 +107,6 @@ def pair_blocks(fresh: dict, reference: dict) -> Tuple[str, List[Tuple[dict, dic
         reference_blocks = blocks_of(reference, "reference")
     except ValueError as exc:
         return str(exc), []
-    if not any(
-        block.get("simulator_backend") == "vector" for block in reference_blocks
-    ):
-        return (
-            "reference pins no vector-backend block; the default simulator "
-            "core must stay under the gate — regenerate the baseline with "
-            "simulator_smoke.py (the pinned suite measures both cores)"
-        ), []
     fresh_by_identity = {identity_of(block): block for block in fresh_blocks}
     pairs = []
     for reference_block in reference_blocks:

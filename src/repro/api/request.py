@@ -34,7 +34,6 @@ from repro.arch.machine import ArchitectureError, get_architecture
 from repro.cubin.binary import Cubin
 from repro.sampling.memory import check_memory_model
 from repro.sampling.profiler import check_simulation_scope
-from repro.sampling.vector import check_simulator_backend
 from repro.sampling.sample import KernelProfile, LaunchConfig
 from repro.sampling.workload import WorkloadSpec
 
@@ -92,7 +91,6 @@ class AdvisingRequest:
     sample_period: Optional[int] = None
     simulation_scope: Optional[str] = None
     memory_model: Optional[str] = None
-    simulator_backend: Optional[str] = None
     optimizers: Optional[Tuple[str, ...]] = None
     cache_policy: str = "default"
     label: Optional[str] = None
@@ -166,11 +164,6 @@ class AdvisingRequest:
                 check_memory_model(self.memory_model)
             except ValueError as exc:
                 raise ApiValidationError(str(exc)) from exc
-        if self.simulator_backend is not None:
-            try:
-                check_simulator_backend(self.simulator_backend)
-            except ValueError as exc:
-                raise ApiValidationError(str(exc)) from exc
         if self.arch_flag is not None:
             try:
                 get_architecture(self.arch_flag)
@@ -224,7 +217,9 @@ class AdvisingRequest:
             "sample_period": self.sample_period,
             "simulation_scope": self.simulation_scope,
             "memory_model": self.memory_model,
-            "simulator_backend": self.simulator_backend,
+            # Constant slot of the removed simulator-backend knob, kept so
+            # the wire form and fingerprints stay byte-identical.
+            "simulator_backend": None,
             "optimizers": list(self.optimizers) if self.optimizers is not None else None,
             "cache_policy": self.cache_policy,
             "label": self.label,
@@ -282,6 +277,11 @@ class AdvisingRequest:
         workload = payload.get("workload")
         profile = payload.get("profile")
         optimizers = payload.get("optimizers")
+        if payload.get("simulator_backend") is not None:
+            raise ApiSchemaError(
+                "advising_request field 'simulator_backend' was removed: the "
+                "simulator has one core; send null or omit the field"
+            )
         request = cls(
             source=require_key(payload, "source", "advising_request"),
             case_id=payload.get("case_id"),
@@ -295,7 +295,6 @@ class AdvisingRequest:
             sample_period=payload.get("sample_period"),
             simulation_scope=payload.get("simulation_scope"),
             memory_model=payload.get("memory_model"),
-            simulator_backend=payload.get("simulator_backend"),
             optimizers=tuple(optimizers) if optimizers is not None else None,
             cache_policy=payload.get("cache_policy", "default"),
             label=payload.get("label"),
@@ -429,18 +428,6 @@ class RequestBuilder:
         """Service memory through the detailed L1/L2/DRAM hierarchy model."""
         return self.memory_model("hierarchy")
 
-    def simulator_backend(self, backend: str) -> "RequestBuilder":
-        self._fields["simulator_backend"] = backend
-        return self
-
-    def object_backend(self) -> "RequestBuilder":
-        """Walk traces on the reference object-model core."""
-        return self.simulator_backend("object")
-
-    def vector_backend(self) -> "RequestBuilder":
-        """Walk traces on the array-based vector core (the default)."""
-        return self.simulator_backend("vector")
-
     def optimizers(self, *names: str) -> "RequestBuilder":
         self._fields["optimizers"] = tuple(names)
         return self
@@ -495,7 +482,6 @@ def request_for_case(
     optimizers: Optional[Tuple[str, ...]] = None,
     simulation_scope: Optional[str] = None,
     memory_model: Optional[str] = None,
-    simulator_backend: Optional[str] = None,
 ) -> AdvisingRequest:
     """The request for one benchmark case (id, registry case, or ad-hoc case).
 
@@ -513,7 +499,6 @@ def request_for_case(
             source="case", case_id=case_or_id, variant=variant,
             arch_flag=arch_flag, sample_period=sample_period,
             simulation_scope=simulation_scope, memory_model=memory_model,
-            simulator_backend=simulator_backend,
             cache_policy=cache_policy, optimizers=optimizers,
             label=case_or_id,
         )
@@ -523,7 +508,6 @@ def request_for_case(
             source="case", case_id=case.case_id, variant=variant,
             arch_flag=arch_flag, sample_period=sample_period,
             simulation_scope=simulation_scope, memory_model=memory_model,
-            simulator_backend=simulator_backend,
             cache_policy=cache_policy, optimizers=optimizers,
             label=case.case_id,
         )
@@ -533,7 +517,6 @@ def request_for_case(
         config=setup.config, workload=setup.workload,
         arch_flag=arch_flag, sample_period=sample_period,
         simulation_scope=simulation_scope, memory_model=memory_model,
-        simulator_backend=simulator_backend,
         cache_policy=cache_policy, optimizers=optimizers,
         label=case.case_id,
     )

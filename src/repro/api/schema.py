@@ -33,10 +33,10 @@ from typing import Any
 #:    them plus the hierarchy's coalescing/hit-rate statistics; workload
 #:    specs carry access-pattern fields (``working_set_bytes``,
 #:    ``access_strides``, ``default_access_stride_bytes``).
-#: 4. Requests carry ``simulator_backend`` (the object vs. vector simulator
-#:    core selection).  Results deliberately do not: the two cores are
-#:    bit-identical by contract, so the core that ran is an execution
-#:    detail, not part of the answer.
+#: 4. Requests carry the simulator-core selection (object vs. vector).
+#:    Results never did.  The knob has since been removed with the object
+#:    core; its request slot remains as a constant ``null`` that loaders
+#:    require (see docs/MIGRATION.md).
 #: 5. The static lint layer adds the ``static_report`` and
 #:    ``static_diagnostic`` envelope kinds
 #:    (:mod:`repro.staticcheck.report`).  Existing payload shapes are

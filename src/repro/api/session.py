@@ -46,7 +46,6 @@ from repro.pipeline.stages import (
 )
 from repro.sampling.memory import check_memory_model
 from repro.sampling.profiler import ProfiledKernel, Profiler, check_simulation_scope
-from repro.sampling.vector import resolve_simulator_backend
 from repro.sampling.sample import KernelProfile
 from repro.structure.program import ProgramStructure, build_program_structure
 
@@ -66,7 +65,6 @@ class AdvisingSession:
         jobs: int = 1,
         simulation_scope: str = "single_wave",
         memory_model: str = "flat",
-        simulator_backend: Optional[str] = None,
     ):
         if sample_period <= 0:
             raise ApiValidationError(f"sample_period must be positive, got {sample_period}")
@@ -80,17 +78,12 @@ class AdvisingSession:
             check_memory_model(memory_model)
         except ValueError as exc:
             raise ApiValidationError(str(exc)) from exc
-        try:
-            simulator_backend = resolve_simulator_backend(simulator_backend)
-        except ValueError as exc:
-            raise ApiValidationError(str(exc)) from exc
         if isinstance(architecture, str):
             architecture = get_architecture(architecture)
         self.architecture = architecture or VoltaV100
         self.sample_period = sample_period
         self.simulation_scope = simulation_scope
         self.memory_model = memory_model
-        self.simulator_backend = simulator_backend
         self.cache = coerce_cache(cache)
         self.jobs = jobs
 
@@ -105,11 +98,10 @@ class AdvisingSession:
         self.profiler = Profiler(
             self.architecture, sample_period=sample_period,
             simulation_scope=simulation_scope, memory_model=memory_model,
-            simulator_backend=simulator_backend,
         )
         self.profile_stage = ProfileStage(profiler=self.profiler, cache=self.cache)
         self.analyze_stage = AnalyzeStage(self.architecture, self.optimizers)
-        self._profile_stages: Dict[Tuple[int, bool, str, str, str], ProfileStage] = {}
+        self._profile_stages: Dict[Tuple[int, bool, str, str], ProfileStage] = {}
         self._analyze_stages: Dict[Tuple[str, Optional[Tuple[str, ...]]], AnalyzeStage] = {}
 
     # ------------------------------------------------------------------
@@ -153,19 +145,15 @@ class AdvisingSession:
         period = request.sample_period or self.sample_period
         scope = request.simulation_scope or self.simulation_scope
         memory_model = request.memory_model or self.memory_model
-        backend = resolve_simulator_backend(
-            request.simulator_backend or self.simulator_backend
-        )
         cached = request.cache_policy != "bypass"
         if (
             period == self.sample_period
             and scope == self.simulation_scope
             and memory_model == self.memory_model
-            and backend == self.simulator_backend
             and cached
         ):
             return self.profile_stage
-        key = (period, cached, scope, memory_model, backend)
+        key = (period, cached, scope, memory_model)
         stage = self._profile_stages.get(key)
         if stage is None:
             stage = ProfileStage(
@@ -174,7 +162,6 @@ class AdvisingSession:
                 cache=self.cache if cached else None,
                 simulation_scope=scope,
                 memory_model=memory_model,
-                simulator_backend=backend,
             )
             self._profile_stages[key] = stage
         return stage
@@ -432,7 +419,6 @@ class AdvisingSession:
             "sample_period": self.sample_period,
             "simulation_scope": self.simulation_scope,
             "memory_model": self.memory_model,
-            "simulator_backend": self.simulator_backend,
             "cache_dir": str(self.cache.directory) if self.cache is not None else None,
             "optimizer_names": (
                 list(self._optimizer_names) if self._optimizer_names else None
@@ -463,7 +449,6 @@ def _pool_advise(config: dict, payload: dict, index: int) -> dict:
         jobs=1,
         simulation_scope=config.get("simulation_scope", "single_wave"),
         memory_model=config.get("memory_model", "flat"),
-        simulator_backend=config.get("simulator_backend"),
     )
     request = AdvisingRequest.from_dict(payload)
     return session.advise(request, index=index).to_dict()

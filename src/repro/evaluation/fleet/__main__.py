@@ -68,7 +68,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             memory_model=memory_model,
             arch_flag=args.arch_flag,
             sample_period=args.sample_period,
-            simulator_backend=args.simulator_backend,
         )
         for scope in args.scopes
         for memory_model in args.memory_models
@@ -241,7 +240,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     from repro.sampling.memory import MEMORY_MODELS
     from repro.sampling.profiler import SIMULATION_SCOPES
-    from repro.sampling.vector import SIMULATOR_BACKENDS
 
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -268,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--arch", dest="arch_flag", default="sm_70",
                       help="architecture model (default sm_70)")
     plan.add_argument("--sample-period", type=int, default=8)
-    plan.add_argument("--simulator-backend", default=None,
-                      choices=SIMULATOR_BACKENDS, metavar="BACKEND")
     plan.add_argument("--out", default="fleet-plan.json", metavar="PATH",
                       help="where to write the plan (default fleet-plan.json)")
     plan.add_argument("--matrix", default=None, metavar="PATH",

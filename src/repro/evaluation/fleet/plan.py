@@ -2,7 +2,7 @@
 
 An :class:`EvaluationPlan` enumerates the full evaluation surface — every
 benchmark case crossed with every :class:`SweepConfiguration` (simulation
-scope, memory model, architecture, sample period, simulator backend) — as
+scope, memory model, architecture, sample period) — as
 :class:`WorkUnit` objects and partitions them into deterministic shards.
 
 Determinism is the whole point: a unit's **fingerprint** digests the case
@@ -30,15 +30,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sampling.memory import check_memory_model
 from repro.sampling.profiler import check_simulation_scope
-from repro.sampling.vector import check_simulator_backend
 
 #: Version of the plan wire form.  Bumped when the JSON layout changes.
-PLAN_SCHEMA_VERSION = 1
+#: Version 2: configurations no longer carry a simulator backend.
+PLAN_SCHEMA_VERSION = 2
 
 #: Version of the unit-fingerprint digest.  Bumped when the digest's inputs
 #: change shape; checkpoints keyed under another version never match, so a
 #: resume against them re-runs from scratch instead of mispairing units.
-FLEET_FINGERPRINT_VERSION = 1
+#: Version 2: the digested configuration drops the simulator backend.
+FLEET_FINGERPRINT_VERSION = 2
 
 #: Hex digits kept from the sha256 digests (80 bits; collisions across a
 #: few hundred units are beyond negligible, and short ids keep checkpoints
@@ -63,13 +64,10 @@ class SweepConfiguration:
     memory_model: str = "flat"
     arch_flag: str = "sm_70"
     sample_period: int = 8
-    simulator_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_simulation_scope(self.simulation_scope)
         check_memory_model(self.memory_model)
-        if self.simulator_backend is not None:
-            check_simulator_backend(self.simulator_backend)
         if self.sample_period <= 0:
             raise FleetError(
                 f"sample_period must be positive, got {self.sample_period}"
@@ -80,15 +78,12 @@ class SweepConfiguration:
     @property
     def key(self) -> str:
         """A stable human-readable identity, used for grouping and display."""
-        parts = [
+        return "+".join((
             self.simulation_scope,
             self.memory_model,
             self.arch_flag,
             f"p{self.sample_period}",
-        ]
-        if self.simulator_backend is not None:
-            parts.append(self.simulator_backend)
-        return "+".join(parts)
+        ))
 
     def to_dict(self) -> dict:
         return {
@@ -96,7 +91,6 @@ class SweepConfiguration:
             "memory_model": self.memory_model,
             "arch_flag": self.arch_flag,
             "sample_period": self.sample_period,
-            "simulator_backend": self.simulator_backend,
         }
 
     @classmethod
@@ -111,7 +105,6 @@ class SweepConfiguration:
                 memory_model=payload.get("memory_model", "flat"),
                 arch_flag=payload.get("arch_flag", "sm_70"),
                 sample_period=payload.get("sample_period", 8),
-                simulator_backend=payload.get("simulator_backend"),
             )
         except (ValueError, TypeError) as exc:
             raise FleetError(f"bad sweep configuration: {exc}") from exc

@@ -255,7 +255,6 @@ def bench_throughput_series(
             key = (
                 f"{block.get('simulation_scope', 'single_wave')}"
                 f"+{block.get('memory_model', 'flat')}"
-                f" {block.get('simulator_backend', 'object')}"
             )
             blocks[key] = block.get("cycles_per_second")
         rows.append(blocks)
@@ -297,7 +296,6 @@ def bench_reference_entry(reference: dict) -> Optional[dict]:
             {
                 "simulation_scope": block.get("simulation_scope", "single_wave"),
                 "memory_model": block.get("memory_model", "flat"),
-                "simulator_backend": block.get("simulator_backend", "object"),
                 "cycles_per_second": block.get("cycles_per_second"),
             }
             for block in blocks

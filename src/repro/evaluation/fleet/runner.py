@@ -68,7 +68,6 @@ def unit_request(unit: WorkUnit, variant: str):
         sample_period=config.sample_period,
         simulation_scope=config.simulation_scope,
         memory_model=config.memory_model,
-        simulator_backend=config.simulator_backend,
     )
 
 

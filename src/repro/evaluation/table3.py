@@ -131,7 +131,6 @@ def evaluate_table3(
     progress: Optional[ProgressCallback] = None,
     simulation_scope: str = "single_wave",
     memory_model: str = "flat",
-    simulator_backend: Optional[str] = None,
 ) -> Table3Result:
     """Evaluate every Table 3 row (or the supplied subset).
 
@@ -155,7 +154,6 @@ def evaluate_table3(
             jobs=jobs,
             simulation_scope=simulation_scope,
             memory_model=memory_model,
-            simulator_backend=simulator_backend,
         )
     )
     result = Table3Result()
@@ -268,7 +266,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     from repro.sampling.memory import MEMORY_MODELS
     from repro.sampling.profiler import SIMULATION_SCOPES
-    from repro.sampling.vector import SIMULATOR_BACKENDS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.evaluation.table3",
@@ -283,8 +280,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         dest="simulation_scope", metavar="SCOPE")
     parser.add_argument("--memory-model", default="flat", choices=MEMORY_MODELS,
                         dest="memory_model", metavar="MODEL")
-    parser.add_argument("--simulator-backend", default=None, choices=SIMULATOR_BACKENDS,
-                        dest="simulator_backend", metavar="BACKEND")
     parser.add_argument("--cache-dir", default=None, metavar="PATH")
     parser.add_argument("--limit", type=int, default=None, metavar="N",
                         help="only evaluate the first N registry cases")
@@ -321,7 +316,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             progress=progress,
             simulation_scope=args.simulation_scope,
             memory_model=args.memory_model,
-            simulator_backend=args.simulator_backend,
         )
     except Exception:
         traceback.print_exc()

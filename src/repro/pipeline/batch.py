@@ -62,7 +62,6 @@ class BatchConfig:
     jobs: int = 1
     simulation_scope: str = "single_wave"
     memory_model: str = "flat"
-    simulator_backend: Optional[str] = None
 
     @property
     def architecture(self) -> GpuArchitecture:
@@ -79,7 +78,6 @@ class BatchConfig:
             jobs=self.jobs,
             simulation_scope=self.simulation_scope,
             memory_model=self.memory_model,
-            simulator_backend=self.simulator_backend,
         )
 
     def build_gpa(self):

@@ -18,8 +18,7 @@ that digests *everything the simulation depends on*:
   never replayed as a full one, and
 * the simulation scope, so a cached single-wave profile never replays as a
   whole-GPU one (or vice versa), and
-* the resolved simulator backend (object vs. vector core), so every cached
-  profile witnesses the core implementation that produced it.
+* the memory model.
 
 Changing any of these misses; repeating a run hits and skips the simulator.
 Writes go through a temporary file and :func:`os.replace` so concurrent
@@ -58,11 +57,9 @@ from repro.sampling.workload import WorkloadSpec
 #: Version 4: profiles record the memory model (flat vs hierarchy) and its
 #: statistics, and the key digests the memory model, so hierarchy-on/off
 #: profiles never collide.
-#: Version 5: the key digests the *resolved* simulator backend ("object" or
-#: "vector").  The two cores are bit-identical by contract, but a cached
-#: entry must witness the core that produced it so an equivalence regression
-#: can never hide behind a replay.
-CACHE_SCHEMA_VERSION = 5
+#: Version 5: the key digested the simulator backend ("object" or "vector").
+#: Version 6: one simulator core remains, so the key drops the backend.
+CACHE_SCHEMA_VERSION = 6
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +314,6 @@ def profile_cache_key(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     simulation_scope: str = "single_wave",
     memory_model: str = "flat",
-    simulator_backend: Optional[str] = None,
 ) -> str:
     """The cache key of one simulated kernel launch.
 
@@ -327,16 +323,10 @@ def profile_cache_key(
     measured whole-GPU), so profiles from one scope must never replay as the
     other; ``memory_model`` selects the memory system (flat latency vs. the
     L1/L2/DRAM hierarchy), whose profiles differ in both timing and recorded
-    statistics; ``simulator_backend`` names the core that walked the traces
-    (the resolved "object"/"vector" choice — ``None`` resolves here), which
-    is digested so a profile always witnesses the implementation that
-    produced it.  (``keep_samples`` is deliberately absent: it only controls
+    statistics.  (``keep_samples`` is deliberately absent: it only controls
     whether raw samples are retained on the transient ``SimulationResult``,
     which is not cached — replays always return ``simulation=None``.)
     """
-    from repro.sampling.vector import resolve_simulator_backend
-
-    backend = resolve_simulator_backend(simulator_backend)
     hasher = hashlib.sha256()
     for token in (
         f"v{CACHE_SCHEMA_VERSION}",
@@ -350,7 +340,6 @@ def profile_cache_key(
         f"max_cycles={max_cycles}",
         f"scope={simulation_scope}",
         f"memory_model={memory_model}",
-        f"backend={backend}",
     ):
         hasher.update(token.encode("utf-8"))
         hasher.update(b"\x00")

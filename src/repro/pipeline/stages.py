@@ -79,12 +79,10 @@ class ProfileStage:
         profiler: Optional[Profiler] = None,
         simulation_scope: str = "single_wave",
         memory_model: str = "flat",
-        simulator_backend: Optional[str] = None,
     ):
         self.profiler = profiler or Profiler(
             architecture, sample_period=sample_period,
             simulation_scope=simulation_scope, memory_model=memory_model,
-            simulator_backend=simulator_backend,
         )
         self.cache = coerce_cache(cache)
 
@@ -104,10 +102,6 @@ class ProfileStage:
     def memory_model(self) -> str:
         return self.profiler.memory_model
 
-    @property
-    def simulator_backend(self) -> str:
-        return self.profiler.simulator_backend
-
     # ------------------------------------------------------------------
     def cache_key(self, request: ProfileRequest) -> str:
         """The cache key this stage uses for ``request``."""
@@ -121,7 +115,6 @@ class ProfileStage:
             max_cycles=self.profiler.max_cycles,
             simulation_scope=self.profiler.simulation_scope,
             memory_model=self.profiler.memory_model,
-            simulator_backend=self.profiler.simulator_backend,
         )
 
     def run(self, request: ProfileRequest) -> ProfiledKernel:

@@ -30,10 +30,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.arch.machine import GpuArchitecture
 from repro.sampling.memory import MemoryStatistics
 from repro.sampling.sample import PCSample
-from repro.sampling.simulator import DEFAULT_MAX_CYCLES
+from repro.sampling.simulator import DEFAULT_MAX_CYCLES, SMSimulator
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.trace import TraceOp
-from repro.sampling.vector import make_sm_simulator, resolve_simulator_backend
 
 #: A callable producing the dynamic trace of one warp, keyed by the warp's
 #: *global* id (``block_id * warps_per_block + warp_in_block``).
@@ -128,21 +127,18 @@ class GpuSimulator:
         keep_samples: bool = False,
         max_cycles: int = DEFAULT_MAX_CYCLES,
         memory_model: str = "flat",
-        simulator_backend: Optional[str] = None,
     ):
         self.architecture = architecture
         self.sample_period = sample_period
         self.keep_samples = keep_samples
         self.max_cycles = max_cycles
         self.memory_model = memory_model
-        self.simulator_backend = resolve_simulator_backend(simulator_backend)
-        self._sm_simulator = make_sm_simulator(
+        self._sm_simulator = SMSimulator(
             architecture,
             sample_period=sample_period,
             keep_samples=keep_samples,
             max_cycles=max_cycles,
             memory_model=memory_model,
-            simulator_backend=self.simulator_backend,
         )
 
     # ------------------------------------------------------------------

@@ -22,8 +22,8 @@ pipeline simulators structure their memory stages:
 
 The model is deterministic (no randomness; state depends only on the access
 sequence) and observation-neutral: :meth:`MemoryHierarchy.backpressure` has
-a read-only probe mode, and :meth:`MemoryHierarchy.access` is only invoked
-when an instruction actually issues — so PC sampling can never perturb the
+a read-only probe mode, and :meth:`MemoryHierarchy.access_sectors` is only
+invoked when an instruction actually issues — so PC sampling can never perturb the
 simulated timing, the same property the rest of the simulator guarantees.
 
 :class:`MemoryStatistics` is the aggregate the profiler surfaces through
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.machine import MemoryHierarchyParameters
 from repro.isa.registers import MemorySpace
@@ -63,6 +63,28 @@ def check_memory_model(model: str) -> str:
             f"unknown memory model {model!r}; expected one of {MEMORY_MODELS}"
         )
     return model
+
+
+def sector_addresses(
+    address: int, stride: int, warp_size: int, sector_bytes: int
+) -> Tuple[int, ...]:
+    """The unique sectors touched by one warp access with ``stride > 0``.
+
+    Coalescing proper: thread ``t`` accesses ``address + t * stride`` for
+    :data:`ACCESS_BYTES` bytes, and the warp's footprint collapses into
+    unique ``sector_bytes`` sectors.  A thread's bytes span its first and
+    last sector only (a sector holds at least one access), and both are
+    nondecreasing in the thread id, so the sorted sector set is also the
+    order in which the threads first touch them — the order the L1
+    pipeline positions and DRAM queueing depend on.  Accesses without
+    address information use :meth:`MemoryHierarchy.fallback_sectors`.
+    """
+    last_byte = ACCESS_BYTES - 1
+    indices = set()
+    for start in range(address, address + warp_size * stride, stride):
+        indices.add(start // sector_bytes)
+        indices.add((start + last_byte) // sector_bytes)
+    return tuple(index * sector_bytes for index in sorted(indices))
 
 
 @dataclass
@@ -200,9 +222,8 @@ class SectorCache:
 class MemoryHierarchy:
     """One SM's view of the memory system: L1, an L2 slice, and DRAM."""
 
-    def __init__(self, parameters: MemoryHierarchyParameters, warp_size: int = 32):
+    def __init__(self, parameters: MemoryHierarchyParameters):
         self.parameters = parameters
-        self.warp_size = warp_size
         self.l1 = SectorCache(
             parameters.l1_bytes, parameters.l1_ways, parameters.sector_bytes
         )
@@ -246,7 +267,7 @@ class MemoryHierarchy:
         ``transactions`` consecutive sectors at a rolling cursor, so the
         transaction *count* still matches the flat model.  The cursor is
         hierarchy state: callers must consume fallback sectors in issue
-        order (both cores do — sectors are resolved when the op issues).
+        order (the simulator resolves them when the op issues).
         """
         sector = self.parameters.sector_bytes
         count = max(1, transactions or 1)
@@ -255,37 +276,7 @@ class MemoryHierarchy:
         return [base + i * sector for i in range(count)]
 
     # ------------------------------------------------------------------
-    def sector_addresses(self, op) -> List[int]:
-        """The unique 32-byte sectors touched by one warp-level access.
-
-        Coalescing proper: thread ``t`` accesses ``address + t * stride``
-        for :data:`ACCESS_BYTES` bytes; the footprint collapses into unique
-        sectors (first-seen order, which for positive strides equals sorted
-        order — the vector core's pack-time precompute relies on this).
-        """
-        sector = self.parameters.sector_bytes
-        stride = getattr(op, "stride_bytes", 0)
-        if stride <= 0:
-            return self.fallback_sectors(getattr(op, "transactions", 1))
-        base = getattr(op, "address", 0)
-        sectors = []
-        seen = set()
-        for thread in range(self.warp_size):
-            first = (base + thread * stride) // sector
-            last = (base + thread * stride + ACCESS_BYTES - 1) // sector
-            for index in range(first, last + 1):
-                if index not in seen:
-                    seen.add(index)
-                    sectors.append(index * sector)
-        return sectors
-
-    # ------------------------------------------------------------------
-    def access(self, op, now: int) -> int:
-        """Service one warp-level access; returns its completion cycle."""
-        return self.access_sectors(self.sector_addresses(op), now)
-
-    # ------------------------------------------------------------------
-    def access_sectors(self, sectors: List[int], now: int) -> int:
+    def access_sectors(self, sectors: Sequence[int], now: int) -> int:
         """Service one warp-level access given its coalesced sectors.
 
         Sectors issue into the L1 pipeline at ``l1_sectors_per_cycle``; each

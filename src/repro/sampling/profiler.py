@@ -33,9 +33,8 @@ from repro.cubin.binary import Cubin
 from repro.sampling.gpu import GpuSimulationResult, GpuSimulator
 from repro.sampling.memory import MEMORY_MODELS, check_memory_model
 from repro.sampling.sample import KernelProfile, LaunchConfig, LaunchStatistics
-from repro.sampling.simulator import DEFAULT_MAX_CYCLES, SimulationResult
+from repro.sampling.simulator import DEFAULT_MAX_CYCLES, SimulationResult, SMSimulator
 from repro.sampling.trace import generate_warp_trace
-from repro.sampling.vector import make_sm_simulator, resolve_simulator_backend
 from repro.sampling.workload import WorkloadSpec
 from repro.structure.program import ProgramStructure, build_program_structure
 
@@ -99,7 +98,6 @@ class Profiler:
         max_cycles: int = DEFAULT_MAX_CYCLES,
         simulation_scope: str = "single_wave",
         memory_model: str = "flat",
-        simulator_backend: Optional[str] = None,
     ):
         self.architecture = architecture or VoltaV100
         self.sample_period = sample_period
@@ -107,10 +105,6 @@ class Profiler:
         self.max_cycles = max_cycles
         self.simulation_scope = check_simulation_scope(simulation_scope)
         self.memory_model = check_memory_model(memory_model)
-        #: The resolved simulator core ("vector" or "object") every launch
-        #: profiled through this instance runs on.  Resolution happens once,
-        #: here, so the cache key and the simulation always agree.
-        self.simulator_backend = resolve_simulator_backend(simulator_backend)
 
     # ------------------------------------------------------------------
     def profile(
@@ -150,7 +144,6 @@ class Profiler:
                 keep_samples=self.keep_samples,
                 max_cycles=self.max_cycles,
                 memory_model=self.memory_model,
-                simulator_backend=self.simulator_backend,
             ).simulate(
                 kernel_name,
                 trace_for_warp,
@@ -175,13 +168,12 @@ class Profiler:
                     )
                     block_of_warp.append(local_block)
 
-            simulator = make_sm_simulator(
+            simulator = SMSimulator(
                 architecture,
                 sample_period=self.sample_period,
                 keep_samples=self.keep_samples,
                 max_cycles=self.max_cycles,
                 memory_model=self.memory_model,
-                simulator_backend=self.simulator_backend,
             )
             simulation = simulator.simulate(kernel_name, traces, block_of_warp)
             wave_cycles = simulation.wave_cycles

@@ -29,14 +29,30 @@ Sampling is observation-neutral: recording a sample reads warp state through
 a side-effect-free probe, so changing ``sample_period`` can never change the
 simulated timing — the same property the hardware PC sampler has.
 
+The simulator keeps *no per-op objects* on its hot path.  At the start of a
+``simulate()`` call every warp's trace is packed once into flat records
+(:func:`_pack_warp`), one tuple per dynamic op, carrying the precomputed
+facts both scheduler phases need: a check-phase flag word, the wait mask,
+used/defined register indices, the control-code barrier slots, the
+fixed-op latency, the ``max(1, ...)`` latency/stall increments and, under
+the hierarchy memory model, the access's coalesced sectors.  Records are
+interned: the static prefix is memoized per instruction, ops with no
+dynamic state (the common fixed-latency ALU op) share one record outright,
+and sector tuples are memoized per ``(address, stride)``.  Warp state (PC
+indices, ready/blocked cycles, fetch timers, barrier membership, finished
+flags) lives in flat per-warp lists, and the fixed-latency scoreboard is a
+dense ``warps x registers`` table of ready-cycles.
+
 The main loop is event-driven per scheduler: a scheduler whose warps are all
 blocked is skipped with a single integer comparison until the earliest cycle
 at which one of its warps could issue, and when no scheduler can issue at all
 the clock jumps straight to the next event (emitting the latency samples that
-fall inside the gap).
+fall inside the gap).  The ready test for unflagged ops is inlined into the
+scheduler scan: one flag-word test plus a walk of the op's used registers.
 
 The output is exactly what CUPTI hands GPA: per-instruction stall counts by
 reason, per-instruction issue counts, and kernel-level totals.
+``docs/SIMULATOR.md`` documents the record layout.
 """
 
 from __future__ import annotations
@@ -51,10 +67,11 @@ from repro.sampling.memory import (
     MemoryHierarchy,
     MemoryStatistics,
     check_memory_model,
+    sector_addresses,
 )
 from repro.sampling.sample import PCSample
 from repro.sampling.stall_reasons import StallReason
-from repro.sampling.trace import OpMeta, TraceOp, cached_latency, instruction_meta
+from repro.sampling.trace import TraceOp, cached_latency, instruction_meta
 
 #: Default bound on the simulation loop; shared by the profiler and the
 #: pipeline cache key so a truncated simulation never replays as a full one.
@@ -87,45 +104,127 @@ class SimulationResult:
         return self.active_samples + self.latency_samples
 
 
-class _WarpState:
-    """Mutable execution state of one warp.
+# ----------------------------------------------------------------------
+# Packed-record layout (one tuple per dynamic op).
+#
+# Check-phase flag bits — ops with none of these (the common ALU op) take
+# a single ``flags & _CHECK_MASK`` branch through the scheduler's ready
+# test instead of four attribute probes.
+_F_FETCH = 1
+_F_WAIT = 2
+_F_BAR = 4
+_F_THROTTLE = 8
+_CHECK_MASK = _F_FETCH | _F_WAIT | _F_BAR | _F_THROTTLE
+# Issue-phase flag bits.
+_F_WRITE_BAR = 16
+_F_READ_BAR = 32
+_F_FIXED = 64  # fixed-latency op: write the dense scoreboard
 
-    ``metas`` packs each op's static instruction facts
-    (:class:`~repro.sampling.trace.OpMeta`) in trace order so the hot
-    scheduler loops index plain slots instead of walking the instruction's
-    ``cached_property`` chain on every dynamic execution.  ``barrier_reason``
-    replaces the old barrier *source op* bookkeeping: the only question ever
-    asked of a barrier's source is its precomputed dependency classification.
+# Record tuple positions (static prefix 0-9 is memoized per instruction,
+# dynamic tail 10-15 varies per op):
+#   0 flags          1 wait_mask     2 used_regs     3 write_barrier
+#   4 read_barrier   5 stall_inc     6 fixed_latency 7 defined_regs
+#   8 barrier_reason 9 offset       10 fetch_stall  11 mem_inc
+#  12 read_hold     13 transactions 14 function     15 sectors
+
+
+def _pack_warp(
+    trace: Sequence[TraceOp],
+    architecture: GpuArchitecture,
+    hierarchy: bool,
+    sector_bytes: int,
+    warp_size: int,
+    static_memo: dict,
+    sector_memo: dict,
+) -> Tuple[list, int]:
+    """One warp's packed op records plus its highest register index.
+
+    ``static_memo`` interns, per instruction: the record's static prefix,
+    a complete default record (shared outright by ops with no dynamic
+    state — the common case), and the instruction's highest register
+    index.  ``sector_memo`` interns coalesced sector tuples per
+    ``(address, stride)``.  Both memos are per-``simulate()`` dicts keyed
+    by ``id(instruction)`` — the instructions are pinned by the traces for
+    the duration of the call, so ids cannot be recycled underneath them.
     """
+    records = []
+    append = records.append
+    max_reg = -1
+    for op in trace:
+        instruction = op.instruction
+        entry = static_memo.get(id(instruction))
+        if entry is None:
+            meta = instruction_meta(instruction)
+            flags = 0
+            if meta.wait_mask:
+                flags |= _F_WAIT
+            if meta.is_bar:
+                flags |= _F_BAR
+            if meta.is_throttled_memory:
+                flags |= _F_THROTTLE
+            if meta.write_barrier is not None:
+                flags |= _F_WRITE_BAR
+            if meta.read_barrier is not None:
+                flags |= _F_READ_BAR
+            fixed_latency = 0
+            if not meta.is_variable_latency:
+                flags |= _F_FIXED
+                fixed_latency = cached_latency(architecture, meta.opcode)
+            top = -1
+            if meta.used_regs:
+                top = max(meta.used_regs)
+            if meta.defined_regs:
+                top = max(top, max(meta.defined_regs))
+            static = (
+                flags,
+                meta.wait_mask,
+                meta.used_regs,
+                meta.write_barrier,
+                meta.read_barrier,
+                max(1, meta.stall_cycles),
+                fixed_latency,
+                meta.defined_regs,
+                meta.barrier_reason,
+                meta.offset,
+            )
+            # Default record for ops with no dynamic state: latency 0
+            # (mem_inc 1, read_hold 20), no transactions, no fetch stall.
+            default_rec = static + (0, 1, 20, 1, op.function, None)
+            entry = (static, default_rec, top)
+            static_memo[id(instruction)] = entry
+        static, default_rec, top = entry
+        if top > max_reg:
+            max_reg = top
 
-    __slots__ = (
-        "warp_id", "block_id", "trace", "metas", "idx", "ready_cycle", "reg_ready",
-        "barrier_clear", "barrier_reason", "sync_arrived", "sync_released",
-        "fetch_ready", "fetch_done_idx", "blocked_until", "last_reason", "finished",
-    )
+        latency = op.latency
+        transactions = op.transactions
+        fetch = op.fetch_stall
+        flags = static[0]
+        needs_sectors = hierarchy and flags & _F_THROTTLE
+        if not (latency or transactions or fetch or needs_sectors):
+            append(default_rec)
+            continue
 
-    def __init__(self, warp_id: int, block_id: int, trace: List[TraceOp]):
-        self.warp_id = warp_id
-        self.block_id = block_id
-        self.trace = trace
-        self.metas: List[OpMeta] = [instruction_meta(op.instruction) for op in trace]
-        self.idx = 0
-        self.ready_cycle = 0
-        self.reg_ready: Dict[int, int] = {}
-        self.barrier_clear = [0, 0, 0, 0, 0, 0]
-        # An unset barrier classifies as a plain execution dependency,
-        # exactly like the former ``_classify_dependency(None)``.
-        self.barrier_reason = [StallReason.EXECUTION_DEPENDENCY] * 6
-        self.sync_arrived = False
-        self.sync_released = False
-        self.fetch_ready: Optional[int] = None
-        self.fetch_done_idx = -1
-        self.blocked_until = 0
-        self.last_reason = StallReason.OTHER
-        self.finished = not trace
-
-    def current_op(self) -> TraceOp:
-        return self.trace[self.idx]
+        sectors = None
+        if needs_sectors and op.stride_bytes > 0:
+            skey = (op.address, op.stride_bytes)
+            sectors = sector_memo.get(skey)
+            if sectors is None:
+                sectors = sector_addresses(
+                    op.address, op.stride_bytes, warp_size, sector_bytes
+                )
+                sector_memo[skey] = sectors
+        if fetch:
+            static = (flags | _F_FETCH,) + static[1:]
+        append(static + (
+            fetch,
+            latency if latency >= 1 else 1,
+            (latency if latency < 30 else 30) if latency >= 1 else 20,
+            transactions if transactions >= 1 else 1,
+            op.function,
+            sectors,
+        ))
+    return records, max_reg
 
 
 class SMSimulator:
@@ -163,27 +262,55 @@ class SMSimulator:
 
         arch = self.architecture
         num_schedulers = arch.schedulers_per_sm
-        warps = [
-            _WarpState(warp_id=i, block_id=block_of_warp[i], trace=list(traces[i]))
-            for i in range(len(traces))
-        ]
-        scheduler_warps: List[List[int]] = [[] for _ in range(num_schedulers)]
-        for index in range(len(warps)):
-            scheduler_warps[index % num_schedulers].append(index)
-
-        # Block barrier bookkeeping.
-        barrier_arrived: Dict[int, set] = defaultdict(set)
-        warps_of_block: Dict[int, List[int]] = defaultdict(list)
-        for index, warp in enumerate(warps):
-            warps_of_block[warp.block_id].append(index)
-
-        # Outstanding memory transactions (completion-cycle min-heap) for
-        # the flat model; the hierarchy model owns its own MSHR state.
-        pending_memory: List[int] = []
-        memory_limit = arch.max_outstanding_memory_requests
+        num_warps = len(traces)
         hierarchy: Optional[MemoryHierarchy] = None
         if self.memory_model == "hierarchy":
-            hierarchy = MemoryHierarchy(arch.memory, warp_size=arch.warp_size)
+            hierarchy = MemoryHierarchy(arch.memory)
+        sector_bytes = arch.memory.sector_bytes
+
+        # ---- pack phase: per-op records + register-file sizing ----------
+        recs_of_warp: List[list] = []
+        static_memo: dict = {}
+        sector_memo: dict = {}
+        max_reg = -1
+        for trace in traces:
+            records, warp_max_reg = _pack_warp(
+                trace, arch, hierarchy is not None, sector_bytes,
+                arch.warp_size, static_memo, sector_memo,
+            )
+            recs_of_warp.append(records)
+            if warp_max_reg > max_reg:
+                max_reg = warp_max_reg
+        num_regs = max_reg + 1
+
+        # ---- flat warp-state arrays ------------------------------------
+        op_count = [len(records) for records in recs_of_warp]
+        idx = [0] * num_warps
+        ready_cycle = [0] * num_warps
+        blocked_until = [0] * num_warps
+        finished = [count == 0 for count in op_count]
+        fetch_ready: List[Optional[int]] = [None] * num_warps
+        fetch_done_idx = [-1] * num_warps
+        sync_arrived = [False] * num_warps
+        sync_released = [False] * num_warps
+        last_reason = [StallReason.OTHER] * num_warps
+        barrier_clear = [[0, 0, 0, 0, 0, 0] for _ in range(num_warps)]
+        barrier_reason = [
+            [StallReason.EXECUTION_DEPENDENCY] * 6 for _ in range(num_warps)
+        ]
+        #: Dense scoreboard: reg_ready[w][r] = cycle register r is ready.
+        reg_ready = [[0] * num_regs for _ in range(num_warps)]
+
+        scheduler_warps: List[List[int]] = [[] for _ in range(num_schedulers)]
+        for w in range(num_warps):
+            scheduler_warps[w % num_schedulers].append(w)
+        warps_of_block: Dict[int, List[int]] = defaultdict(list)
+        for w in range(num_warps):
+            warps_of_block[block_of_warp[w]].append(w)
+        barrier_arrived: Dict[int, set] = defaultdict(set)
+
+        pending_memory: List[int] = []
+        memory_limit = arch.max_outstanding_memory_requests
 
         stall_counts: Dict[Tuple[str, int], Dict[StallReason, int]] = defaultdict(
             lambda: defaultdict(int)
@@ -196,228 +323,216 @@ class SMSimulator:
 
         last_issued_slot = [0] * num_schedulers
         sample_pointer = [0] * num_schedulers
-        unfinished = sum(1 for warp in warps if not warp.finished)
+        unfinished = sum(1 for done in finished if not done)
 
         cycle = 0
         next_sample_cycle = 0
         sample_index = 0
-        #: Set when a barrier arrival or a warp exit may have made a block
-        #: barrier releasable; cleared after ``release_barriers`` runs.
         barrier_dirty = False
 
-        # ------------------------------------------------------------------
-        def check(
-            warp: _WarpState, now: int, commit: bool = True
-        ) -> Tuple[bool, StallReason, int]:
-            """Whether ``warp`` can issue at ``now``; else (reason, recheck cycle).
+        EXEC_DEP = StallReason.EXECUTION_DEPENDENCY
+        SELECTED = StallReason.SELECTED
+        IDLE = StallReason.IDLE
 
-            ``commit=False`` is the PC sampler's observation mode: the same
-            classification runs, but nothing is mutated — no fetch-timer
-            arming, no barrier-arrival registration, no outstanding-
-            transaction pops — so sampling is observation-neutral and the
-            simulated timing is bit-identical across sampling periods.
-            Keeping one routine for both modes means the sampler's stall
-            reasons can never drift from what the scheduler would see.
+        # ------------------------------------------------------------------
+        def check(w: int, now: int, commit: bool = True) -> Tuple[bool, StallReason, int]:
+            """Whether warp ``w`` can issue at ``now``; else (reason, recheck).
+
+            ``commit=False`` is the observation-neutral probe the PC sampler
+            uses: it reads warp and memory state without changing it.
+            The scheduler scan inlines the common path (no flags, register
+            scoreboard only) and only calls in here for flagged ops and
+            sampling probes.
             """
             nonlocal barrier_dirty
-            if warp.finished:
-                return False, StallReason.IDLE, _FAR_FUTURE
-            if now < warp.ready_cycle:
-                return False, StallReason.EXECUTION_DEPENDENCY, warp.ready_cycle
-            idx = warp.idx
-            meta = warp.metas[idx]
+            if finished[w]:
+                return False, IDLE, _FAR_FUTURE
+            if now < ready_cycle[w]:
+                return False, EXEC_DEP, ready_cycle[w]
+            i = idx[w]
+            rec = recs_of_warp[w][i]
+            flags = rec[0]
 
-            # Instruction fetch stall charged to this op.
-            fetch_stall = warp.trace[idx].fetch_stall
-            if fetch_stall and warp.fetch_done_idx != idx:
-                fetch_ready = warp.fetch_ready
-                if fetch_ready is None:
-                    fetch_ready = now + fetch_stall
+            if flags & _CHECK_MASK:
+                # Instruction fetch stall charged to this op.
+                if flags & _F_FETCH and fetch_done_idx[w] != i:
+                    ready_at = fetch_ready[w]
+                    if ready_at is None:
+                        ready_at = now + rec[10]
+                        if commit:
+                            fetch_ready[w] = ready_at
+                    if now < ready_at:
+                        return False, StallReason.INSTRUCTION_FETCH, ready_at
                     if commit:
-                        warp.fetch_ready = fetch_ready
-                if now < fetch_ready:
-                    return False, StallReason.INSTRUCTION_FETCH, fetch_ready
-                if commit:
-                    warp.fetch_done_idx = idx
-                    warp.fetch_ready = None
+                        fetch_done_idx[w] = i
+                        fetch_ready[w] = None
 
-            # Barrier wait mask (variable-latency dependencies).
-            wait_mask = meta.wait_mask
-            if wait_mask:
-                latest = -1
-                latest_reason = StallReason.EXECUTION_DEPENDENCY
-                barrier_clear = warp.barrier_clear
-                for bar in wait_mask:
-                    clear = barrier_clear[bar]
-                    if clear > latest:
-                        latest = clear
-                        latest_reason = warp.barrier_reason[bar]
-                if now < latest:
-                    return False, latest_reason, latest
+                # Barrier wait mask (variable-latency dependencies).
+                if flags & _F_WAIT:
+                    latest = -1
+                    latest_reason = EXEC_DEP
+                    clears = barrier_clear[w]
+                    for bar in rec[1]:
+                        clear = clears[bar]
+                        if clear > latest:
+                            latest = clear
+                            latest_reason = barrier_reason[w][bar]
+                    if now < latest:
+                        return False, latest_reason, latest
+
             # Register scoreboard (fixed-latency dependencies).
-            reg_ready = warp.reg_ready
-            if reg_ready:
-                latest = 0
-                for reg_index in meta.used_regs:
-                    ready = reg_ready.get(reg_index, 0)
-                    if ready > latest:
-                        latest = ready
-                if now < latest:
-                    return False, StallReason.EXECUTION_DEPENDENCY, latest
+            latest = 0
+            regs = reg_ready[w]
+            for r in rec[2]:
+                ready = regs[r]
+                if ready > latest:
+                    latest = ready
+            if now < latest:
+                return False, EXEC_DEP, latest
 
-            # Block-wide synchronization.
-            if meta.is_bar:
-                if not warp.sync_released:
-                    if commit and not warp.sync_arrived:
-                        warp.sync_arrived = True
-                        barrier_arrived[warp.block_id].add(warp.warp_id)
-                        barrier_dirty = True
-                    return False, StallReason.SYNCHRONIZATION, _FAR_FUTURE
+            if flags & _CHECK_MASK:
+                # Block-wide synchronization.
+                if flags & _F_BAR:
+                    if not sync_released[w]:
+                        if commit and not sync_arrived[w]:
+                            sync_arrived[w] = True
+                            barrier_arrived[block_of_warp[w]].add(w)
+                            barrier_dirty = True
+                        return False, StallReason.SYNCHRONIZATION, _FAR_FUTURE
 
-            # Memory throttle.
-            if meta.is_throttled_memory:
-                if hierarchy is not None:
-                    # Real backpressure: every L1 MSHR holds an in-flight
-                    # sector miss (DRAM queueing keeps them held longer).
-                    recheck = hierarchy.backpressure(now, commit=commit)
-                    if recheck is not None:
-                        return False, StallReason.MEMORY_THROTTLE, recheck
-                elif commit:
-                    while pending_memory and pending_memory[0] <= now:
-                        heapq.heappop(pending_memory)
-                    if len(pending_memory) >= memory_limit:
-                        return False, StallReason.MEMORY_THROTTLE, pending_memory[0]
-                else:
-                    in_flight = sum(
-                        1 for completion in pending_memory if completion > now
-                    )
-                    if in_flight >= memory_limit:
-                        return False, StallReason.MEMORY_THROTTLE, now + 1
+                # Memory throttle.
+                if flags & _F_THROTTLE:
+                    if hierarchy is not None:
+                        recheck = hierarchy.backpressure(now, commit=commit)
+                        if recheck is not None:
+                            return False, StallReason.MEMORY_THROTTLE, recheck
+                    elif commit:
+                        while pending_memory and pending_memory[0] <= now:
+                            heapq.heappop(pending_memory)
+                        if len(pending_memory) >= memory_limit:
+                            return False, StallReason.MEMORY_THROTTLE, pending_memory[0]
+                    else:
+                        in_flight = sum(
+                            1 for completion in pending_memory if completion > now
+                        )
+                        if in_flight >= memory_limit:
+                            return False, StallReason.MEMORY_THROTTLE, now + 1
 
-            return True, StallReason.SELECTED, now
+            return True, SELECTED, now
 
         # ------------------------------------------------------------------
-        def issue(warp: _WarpState, now: int) -> None:
+        def issue(w: int, now: int) -> None:
             nonlocal unfinished, issued_instructions, barrier_dirty
-            op = warp.trace[warp.idx]
-            meta = warp.metas[warp.idx]
+            i = idx[w]
+            (flags, _wait, _used, write_barrier, read_barrier, stall_inc,
+             fixed_latency, defined, dep_reason, _offset, _fetch, mem_inc,
+             read_hold, transactions, _function, sectors
+             ) = recs_of_warp[w][i]
 
-            is_hierarchy_memory = hierarchy is not None and meta.is_throttled_memory
+            is_hierarchy_memory = hierarchy is not None and flags & _F_THROTTLE
             if is_hierarchy_memory:
-                # The hierarchy *measures* this access's completion from
-                # coalescing + cache hits + DRAM queueing, replacing the
-                # workload-assigned flat latency.
-                memory_completion = hierarchy.access(op, now)
+                if sectors is None:
+                    sectors = hierarchy.fallback_sectors(transactions)
+                memory_completion = hierarchy.access_sectors(sectors, now)
 
-            write_barrier = meta.write_barrier
-            if write_barrier is not None:
+            if flags & _F_WRITE_BAR:
                 if is_hierarchy_memory:
                     clear = max(now + 1, memory_completion)
                 else:
-                    clear = now + max(1, op.latency)
-                warp.barrier_clear[write_barrier] = clear
-                warp.barrier_reason[write_barrier] = meta.barrier_reason
-            read_barrier = meta.read_barrier
-            if read_barrier is not None:
+                    clear = now + mem_inc
+                barrier_clear[w][write_barrier] = clear
+                barrier_reason[w][write_barrier] = dep_reason
+            if flags & _F_READ_BAR:
                 if is_hierarchy_memory:
-                    # Stores release their read barrier once their sectors
-                    # have entered the pipeline (bounded like the flat hold).
                     hold = max(1, min(memory_completion - now, 30))
                 else:
-                    hold = max(1, min(op.latency, 30)) if op.latency else 20
-                warp.barrier_clear[read_barrier] = now + hold
-                warp.barrier_reason[read_barrier] = meta.barrier_reason
+                    hold = read_hold
+                barrier_clear[w][read_barrier] = now + hold
+                barrier_reason[w][read_barrier] = dep_reason
 
-            if not meta.is_variable_latency:
-                latency = cached_latency(self.architecture, meta.opcode)
-                reg_ready = warp.reg_ready
-                for reg_index in meta.defined_regs:
-                    reg_ready[reg_index] = now + latency
+            if flags & _F_FIXED:
+                regs = reg_ready[w]
+                done = now + fixed_latency
+                for r in defined:
+                    regs[r] = done
 
-            if hierarchy is None and meta.is_throttled_memory:
-                completion = now + max(1, op.latency)
-                for _ in range(max(1, op.transactions)):
+            if hierarchy is None and flags & _F_THROTTLE:
+                completion = now + mem_inc
+                for _ in range(transactions):
                     heapq.heappush(pending_memory, completion)
 
-            if meta.is_bar:
-                warp.sync_arrived = False
-                warp.sync_released = False
+            if flags & _F_BAR:
+                sync_arrived[w] = False
+                sync_released[w] = False
 
             issued_instructions += 1
-            warp.idx += 1
-            warp.ready_cycle = now + max(1, meta.stall_cycles)
-            warp.blocked_until = warp.ready_cycle
-            if warp.idx >= len(warp.trace):
-                warp.finished = True
+            idx[w] = i + 1
+            ready_cycle[w] = now + stall_inc
+            blocked_until[w] = ready_cycle[w]
+            if i + 1 >= op_count[w]:
+                finished[w] = True
                 unfinished -= 1
                 # A barrier waiting only on this warp is now releasable.
                 barrier_dirty = True
 
         # ------------------------------------------------------------------
         def release_barriers(now: int) -> bool:
-            """Release block barriers whose live warps have all arrived.
-
-            Returns True when at least one barrier was released, so the main
-            loop does not skip ahead past the newly-unblocked warps.
-            """
+            """Release block barriers whose live warps have all arrived."""
             released = False
             for block_id, arrived in list(barrier_arrived.items()):
                 if not arrived:
                     continue
                 live = [
-                    warps[w_index].warp_id
-                    for w_index in warps_of_block[block_id]
-                    if not warps[w_index].finished
+                    w for w in warps_of_block[block_id] if not finished[w]
                 ]
                 if live and set(live) <= arrived:
-                    for w_index in warps_of_block[block_id]:
-                        warp = warps[w_index]
-                        if warp.warp_id in arrived:
-                            warp.sync_released = True
-                            warp.blocked_until = now
-                            # Wake the released warp's scheduler: its skip-ahead
-                            # horizon may sit far past the release.
-                            sched_next[w_index % num_schedulers] = now
+                    for w in warps_of_block[block_id]:
+                        if w in arrived:
+                            sync_released[w] = True
+                            blocked_until[w] = now
+                            # Wake the released warp's scheduler: its
+                            # skip-ahead horizon may sit past the release.
+                            sched_next[w % num_schedulers] = now
                     barrier_arrived[block_id] = set()
                     released = True
             return released
 
         # ------------------------------------------------------------------
-        def record_sample(scheduler: int, now: int, issued_key: Optional[Tuple[str, int]]) -> None:
+        def record_sample(
+            scheduler: int, now: int, issued_key: Optional[Tuple[str, int]]
+        ) -> None:
             nonlocal active_samples, latency_samples
             indices = scheduler_warps[scheduler]
             if not indices:
                 return
-            # Pick the sampled warp round-robin among unfinished warps.
             pointer = sample_pointer[scheduler]
-            sampled: Optional[_WarpState] = None
+            sampled = -1
             for probe in range(len(indices)):
-                candidate = warps[indices[(pointer + probe) % len(indices)]]
-                if not candidate.finished:
+                candidate = indices[(pointer + probe) % len(indices)]
+                if not finished[candidate]:
                     sampled = candidate
                     sample_pointer[scheduler] = (pointer + probe + 1) % len(indices)
                     break
-            if sampled is None:
+            if sampled < 0:
                 return
 
             is_active = issued_key is not None
             if is_active:
                 active_samples += 1
                 issue_counts[issued_key] += 1
-                reason = StallReason.SELECTED
+                reason = SELECTED
                 function, offset = issued_key
             else:
                 latency_samples += 1
-                op = sampled.current_op()
-                reason = sampled.last_reason
-                if reason in (StallReason.SELECTED, StallReason.IDLE, StallReason.OTHER):
-                    # The cached reason is stale (the warp was not examined
-                    # this cycle); probe its state in observation mode so
+                rec = recs_of_warp[sampled][idx[sampled]]
+                reason = last_reason[sampled]
+                if reason in (SELECTED, IDLE, StallReason.OTHER):
+                    # Stale cached reason: probe in observation mode so
                     # sampling never perturbs execution.
                     _ready, reason, _recheck = check(sampled, now, commit=False)
-                    if reason in (StallReason.SELECTED, StallReason.IDLE):
+                    if reason in (SELECTED, IDLE):
                         reason = StallReason.NOT_SELECTED
-                function, offset = op.function, sampled.metas[sampled.idx].offset
+                function, offset = rec[14], rec[9]
                 stall_counts[(function, offset)][reason] += 1
 
             if self.keep_samples:
@@ -426,7 +541,7 @@ class SMSimulator:
                         cycle=now,
                         sm_id=sm_id,
                         scheduler_id=scheduler,
-                        warp_id=sampled.warp_id,
+                        warp_id=sampled,
                         function=function,
                         offset=offset,
                         reason=reason,
@@ -435,14 +550,9 @@ class SMSimulator:
                 )
 
         # ------------------------------------------------------------------
-        # Main loop (event-driven per scheduler).
-        #
-        # ``sched_next[s]`` is the earliest cycle at which scheduler ``s``
-        # could possibly issue: schedulers whose horizon lies in the future
-        # are skipped with one comparison instead of rescanning every warp.
-        # The horizon is exact for warp-local events (scoreboards, fetch
-        # timers, control stalls); cross-warp wakeups (block barrier
-        # releases) reset it explicitly in ``release_barriers``.
+        # Main loop — an event-driven scan over the flat arrays.
+        # The ready test for unflagged ops (the common case) is inlined:
+        # one flag word test plus a walk of the op's used registers.
         # ------------------------------------------------------------------
         sched_next = [0] * num_schedulers
         issued_key_by_scheduler: List[Optional[Tuple[str, int]]] = [None] * num_schedulers
@@ -466,28 +576,50 @@ class SMSimulator:
                 min_next = _FAR_FUTURE
                 for probe in range(count):
                     slot = (start + probe) % count
-                    warp = warps[indices[slot]]
-                    if warp.finished:
+                    w = indices[slot]
+                    if finished[w]:
                         continue
-                    if cycle < warp.blocked_until:
-                        if warp.blocked_until < min_next:
-                            min_next = warp.blocked_until
+                    until = blocked_until[w]
+                    if cycle < until:
+                        if until < min_next:
+                            min_next = until
                         continue
-                    ready, reason, recheck = check(warp, cycle)
-                    warp.last_reason = reason
+                    # Inline of check(w, cycle) for the unflagged fast path.
+                    if cycle < ready_cycle[w]:
+                        ready = False
+                        reason = EXEC_DEP
+                        recheck = ready_cycle[w]
+                    else:
+                        rec = recs_of_warp[w][idx[w]]
+                        if rec[0] & _CHECK_MASK:
+                            ready, reason, recheck = check(w, cycle)
+                        else:
+                            latest = 0
+                            regs = reg_ready[w]
+                            for r in rec[2]:
+                                t = regs[r]
+                                if t > latest:
+                                    latest = t
+                            if cycle < latest:
+                                ready = False
+                                reason = EXEC_DEP
+                                recheck = latest
+                            else:
+                                ready = True
+                                reason = SELECTED
+                                recheck = cycle
+                    last_reason[w] = reason
                     if ready:
                         chosen_slot = slot
                         break
-                    warp.blocked_until = recheck
+                    blocked_until[w] = recheck
                     if recheck < min_next:
                         min_next = recheck
                 if chosen_slot >= 0:
-                    warp = warps[indices[chosen_slot]]
-                    op = warp.current_op()
-                    issued_key_by_scheduler[scheduler] = (
-                        op.function, warp.metas[warp.idx].offset
-                    )
-                    issue(warp, cycle)
+                    w = indices[chosen_slot]
+                    rec = recs_of_warp[w][idx[w]]
+                    issued_key_by_scheduler[scheduler] = (rec[14], rec[9])
+                    issue(w, cycle)
                     last_issued_slot[scheduler] = (chosen_slot + 1) % count
                     any_issued = True
                     # An issuing scheduler may pick another warp next cycle.

@@ -64,7 +64,7 @@ class TraceError(RuntimeError):
 class OpMeta:
     """Packed static metadata of one :class:`~repro.isa.instruction.Instruction`.
 
-    Both simulator cores consult the same per-instruction facts on every
+    The simulator consults the same per-instruction facts on every
     dynamic execution of an op — the control code's barrier fields, the
     def/use register sets, whether the op is throttled memory, the stall
     reason a dependent warp reports while waiting on it.  Deriving them
@@ -75,7 +75,7 @@ class OpMeta:
     directly.
 
     ``wait_mask`` preserves the iteration order of the control code's
-    frozenset: the cores break latest-barrier ties by scan order, so the
+    frozenset: the simulator breaks latest-barrier ties by scan order, so the
     packed order must match what iterating the frozenset produced.
     """
 

@@ -48,7 +48,6 @@ from repro.api.session import AdvisingSession
 from repro.arch.machine import ArchitectureError, get_architecture
 from repro.sampling.memory import check_memory_model
 from repro.sampling.profiler import check_simulation_scope
-from repro.sampling.vector import resolve_simulator_backend
 from repro.service.errors import (
     ServiceError,
     ServiceUnavailableError,
@@ -77,7 +76,6 @@ class ServiceConfig:
     sample_period: int = 8
     simulation_scope: str = "single_wave"
     memory_model: str = "flat"
-    simulator_backend: Optional[str] = None
     cache_dir: Optional[str] = None
     optimizer_names: Optional[Tuple[str, ...]] = None
 
@@ -93,12 +91,6 @@ class ServiceConfig:
         try:
             check_simulation_scope(self.simulation_scope)
             check_memory_model(self.memory_model)
-            # Resolve once at construction so the healthz echo, the worker
-            # payload and every session agree on the core that runs.
-            object.__setattr__(
-                self, "simulator_backend",
-                resolve_simulator_backend(self.simulator_backend),
-            )
         except ValueError as exc:
             raise ServiceValidationError(str(exc)) from exc
 
@@ -109,7 +101,6 @@ class ServiceConfig:
             "sample_period": self.sample_period,
             "simulation_scope": self.simulation_scope,
             "memory_model": self.memory_model,
-            "simulator_backend": self.simulator_backend,
             "cache_dir": self.cache_dir,
             "optimizer_names": (
                 list(self.optimizer_names)
@@ -127,7 +118,6 @@ class ServiceConfig:
             jobs=1,
             simulation_scope=self.simulation_scope,
             memory_model=self.memory_model,
-            simulator_backend=self.simulator_backend,
         )
 
 
@@ -155,7 +145,6 @@ def _worker_session(config: dict) -> AdvisingSession:
             jobs=1,
             simulation_scope=config["simulation_scope"],
             memory_model=config["memory_model"],
-            simulator_backend=config.get("simulator_backend"),
         )
         _WORKER_SESSIONS[key] = session
     return session

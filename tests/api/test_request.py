@@ -184,6 +184,18 @@ class TestSerialization:
         with pytest.raises(ApiSchemaError):
             AdvisingRequest.from_dict(payload)
 
+    def test_removed_simulator_backend_slot_is_a_constant_null(self):
+        request = AdvisingRequest.builder().case("a/b:c").build()
+        payload = request.to_dict()
+        assert payload["simulator_backend"] is None
+        assert AdvisingRequest.from_dict(payload) == request
+        del payload["simulator_backend"]
+        assert AdvisingRequest.from_dict(payload) == request
+        for backend in ("vector", "object"):
+            payload["simulator_backend"] = backend
+            with pytest.raises(ApiSchemaError, match="simulator_backend' was removed"):
+                AdvisingRequest.from_dict(payload)
+
 
 class TestRequestForCase:
     def test_registry_id_becomes_case_source(self):

@@ -19,9 +19,15 @@ entry; they must never be regenerated to make a change pass.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api.request import request_for_case
 from repro.api.session import AdvisingSession
 from repro.workloads.registry import case_names
@@ -187,3 +193,43 @@ def test_goldens_cover_every_combination():
 def test_wire_form_matches_golden(key):
     scope, memory_model, case_id = key.split("/", 2)
     assert wire_digest(scope, memory_model, case_id) == GOLDEN_DIGESTS[key]
+
+
+# ----------------------------------------------------------------------
+# The package runs on the standard library alone
+# ----------------------------------------------------------------------
+def _python(script: str) -> str:
+    """Stdout of ``script`` run in a fresh interpreter on this source tree."""
+    source = Path(repro.__file__).resolve().parents[1]
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=dict(os.environ, PYTHONPATH=str(source)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout.strip()
+
+
+def test_hierarchy_request_matches_its_golden_without_numpy():
+    key = "single_wave/hierarchy/rodinia/hotspot:strength_reduction"
+    digest = _python("""
+        import hashlib, json, sys
+        sys.modules["numpy"] = None  # any `import numpy` now fails
+
+        from repro.api.request import request_for_case
+        from repro.api.session import AdvisingSession
+
+        session = AdvisingSession(sample_period=8, memory_model="hierarchy")
+        payload = session.advise(
+            request_for_case("rodinia/hotspot:strength_reduction")
+        ).to_dict()
+        assert not payload.get("error"), payload.get("error")
+        payload["duration"] = 0.0
+        data = json.dumps(payload, sort_keys=True)
+        print(hashlib.sha256(data.encode("utf-8")).hexdigest())
+    """)
+    assert digest == GOLDEN_DIGESTS[key]
+
+
+def test_importing_repro_does_not_import_numpy():
+    assert _python("import sys, repro; print('numpy' in sys.modules)") == "False"

@@ -64,7 +64,6 @@ class TestPlanDeterminism:
             SweepConfiguration(memory_model="hierarchy"),
             SweepConfiguration(arch_flag="sm_80"),
             SweepConfiguration(sample_period=16),
-            SweepConfiguration(simulator_backend="object"),
         ):
             assert WorkUnit("a/two", variant).fingerprint != base.fingerprint
 

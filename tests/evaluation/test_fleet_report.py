@@ -66,16 +66,16 @@ class TestSeriesShaping:
                 "recorded": "2026-08-07T03:23:00Z",
                 "blocks": [
                     {"simulation_scope": "single_wave", "memory_model": "flat",
-                     "simulator_backend": "vector", "cycles_per_second": 120000},
+                     "cycles_per_second": 120000},
                     {"simulation_scope": "whole_gpu", "memory_model": "hierarchy",
-                     "simulator_backend": "object", "cycles_per_second": 9000},
+                     "cycles_per_second": 9000},
                 ],
             }
         ]
         series, labels = bench_throughput_series(history)
         assert labels == ["2026-08-07"]
-        assert series["single_wave+flat vector"] == [120000]
-        assert series["whole_gpu+hierarchy object"] == [9000]
+        assert series["single_wave+flat"] == [120000]
+        assert series["whole_gpu+hierarchy"] == [9000]
 
     def test_history_loader_skips_corrupt_lines(self, tmp_path):
         path = tmp_path / "BENCH_history.jsonl"
@@ -92,8 +92,7 @@ class TestSeriesShaping:
     def test_reference_fallback_is_one_pinned_entry(self):
         entry = bench_reference_entry(
             {"benchmark": "simulator_smoke",
-             "measurements": [{"simulator_backend": "vector",
-                               "cycles_per_second": 5}]}
+             "measurements": [{"cycles_per_second": 5}]}
         )
         assert entry["recorded"] == "pinned"
         assert entry["blocks"][0]["cycles_per_second"] == 5

@@ -141,6 +141,11 @@ class TestTable3Pipeline:
                 assert ref.achieved_speedup == row.achieved_speedup
                 assert ref.estimated_speedup == row.estimated_speedup
                 assert ref.total_samples == row.total_samples
+        # The patch bites: without the cache every case must simulate.
+        cold_again = evaluate_table3(cases)
+        assert not cold_again.rows
+        assert len(cold_again.failures) == len(cases)
+        assert all("simulator invoked" in error for _, error in cold_again.failures)
 
     def test_format_table3_surfaces_failures(self):
         from repro.evaluation.table3 import Table3Result, format_table3

@@ -400,6 +400,9 @@ class TestProfileStageCaching:
         assert warm.kernel_cycles == cold.kernel_cycles
         assert warm.occupancy == cold.occupancy
         assert stage.cache.hits == 1
+        # The patch bites: an uncached run of the same request must simulate.
+        with pytest.raises(AssertionError, match="simulator invoked"):
+            ProfileStage(sample_period=8).run(request)
 
     def test_changed_sample_period_misses(
         self, tmp_path, toy_cubin, toy_config, toy_workload

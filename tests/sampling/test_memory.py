@@ -9,6 +9,7 @@ from repro.sampling.memory import (
     MemoryStatistics,
     SectorCache,
     check_memory_model,
+    sector_addresses,
 )
 from repro.sampling.simulator import SMSimulator
 from repro.sampling.stall_reasons import StallReason
@@ -32,13 +33,9 @@ def _params(**overrides) -> MemoryHierarchyParameters:
     return MemoryHierarchyParameters(**defaults)
 
 
-class _FakeOp:
-    """A minimal stand-in carrying only the fields the hierarchy reads."""
-
-    def __init__(self, address=0, stride_bytes=0, transactions=0):
-        self.address = address
-        self.stride_bytes = stride_bytes
-        self.transactions = transactions
+def _access(hierarchy, address, stride, now):
+    """Service one warp access of 32 threads with 32-byte sectors."""
+    return hierarchy.access_sectors(sector_addresses(address, stride, 32, 32), now)
 
 
 class TestCheckMemoryModel:
@@ -75,26 +72,34 @@ class TestSectorCache:
 
 class TestCoalescing:
     def test_unit_stride_touches_four_sectors(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        sectors = hierarchy.sector_addresses(_FakeOp(address=0, stride_bytes=4))
+        sectors = sector_addresses(0, 4, 32, 32)
         # 32 threads x 4 bytes = 128 bytes = 4 aligned 32-byte sectors.
-        assert sectors == [0, 32, 64, 96]
+        assert sectors == (0, 32, 64, 96)
 
     def test_full_stride_touches_one_sector_per_thread(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        sectors = hierarchy.sector_addresses(_FakeOp(address=0, stride_bytes=128))
+        sectors = sector_addresses(0, 128, 32, 32)
         assert len(sectors) == 32
 
     def test_unaligned_access_spills_into_an_extra_sector(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        sectors = hierarchy.sector_addresses(_FakeOp(address=30, stride_bytes=4))
+        sectors = sector_addresses(30, 4, 32, 32)
         # The footprint [30, 158) covers sectors 0..4.
-        assert sectors == [0, 32, 64, 96, 128]
+        assert sectors == (0, 32, 64, 96, 128)
+
+    @pytest.mark.parametrize("address", [0, 3, 30, 0x1000, 0x1FFE])
+    @pytest.mark.parametrize("stride", [1, 3, 4, 8, 31, 32, 33, 128, 4096])
+    def test_matches_the_per_thread_footprint_in_first_touch_order(self, address, stride):
+        expected = []
+        for thread in range(32):
+            start = address + thread * stride
+            for index in range(start // 32, (start + 3) // 32 + 1):
+                if index * 32 not in expected:
+                    expected.append(index * 32)
+        assert sector_addresses(address, stride, 32, 32) == tuple(expected)
 
     def test_ops_without_addresses_fall_back_to_transaction_count(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        first = hierarchy.sector_addresses(_FakeOp(transactions=3))
-        second = hierarchy.sector_addresses(_FakeOp(transactions=3))
+        hierarchy = MemoryHierarchy(_params())
+        first = hierarchy.fallback_sectors(3)
+        second = hierarchy.fallback_sectors(3)
         assert len(first) == len(second) == 3
         # The rolling cursor keeps fallback accesses from aliasing.
         assert not set(first) & set(second)
@@ -102,35 +107,34 @@ class TestCoalescing:
 
 class TestHierarchyTiming:
     def test_l1_hit_is_faster_than_l2_hit_is_faster_than_dram(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        op = _FakeOp(address=0, stride_bytes=4)
-        dram = hierarchy.access(op, 0)
-        l1 = hierarchy.access(op, 0)
+        hierarchy = MemoryHierarchy(_params())
+        dram = _access(hierarchy, 0, 4, 0)
+        l1 = _access(hierarchy, 0, 4, 0)
         assert dram > l1
         assert hierarchy.statistics.l1_hits == 4
         assert hierarchy.statistics.dram_sectors == 4
 
     def test_dram_bandwidth_serializes_transfers(self):
         parameters = _params(dram_bytes_per_cycle=8)  # 4 cycles per sector
-        hierarchy = MemoryHierarchy(parameters, warp_size=32)
-        first = hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)
-        hierarchy_idle = MemoryHierarchy(parameters, warp_size=32)
-        single = hierarchy_idle.access(_FakeOp(address=0, stride_bytes=4), 0)
+        hierarchy = MemoryHierarchy(parameters)
+        first = _access(hierarchy, 0, 128, 0)
+        hierarchy_idle = MemoryHierarchy(parameters)
+        single = _access(hierarchy_idle, 0, 4, 0)
         # 32 queued sectors wait behind each other at 4 cycles each; a
         # 4-sector access on an idle channel completes much earlier.
         assert first > single
 
     def test_mshr_backpressure_reports_a_recheck_cycle(self):
-        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
-        hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)  # 32 misses
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
+        _access(hierarchy, 0, 128, 0)  # 32 misses
         recheck = hierarchy.backpressure(1, commit=True)
         assert recheck is not None and recheck > 1
         # Once every miss completes the pipeline accepts requests again.
         assert hierarchy.backpressure(recheck + 10_000, commit=True) is None
 
     def test_observation_probe_does_not_mutate_mshrs(self):
-        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
-        hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
+        _access(hierarchy, 0, 128, 0)
         before = list(hierarchy._mshrs)
         assert hierarchy.backpressure(10**9, commit=False) is None
         assert hierarchy._mshrs == before  # commit=True would have drained
@@ -138,9 +142,9 @@ class TestHierarchyTiming:
 
 class TestStatistics:
     def test_counters_are_level_consistent(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
+        hierarchy = MemoryHierarchy(_params())
         for index in range(64):
-            hierarchy.access(_FakeOp(address=index * 128, stride_bytes=4), index)
+            _access(hierarchy, index * 128, 4, index)
         stats = hierarchy.statistics
         assert stats.l1_hits + stats.l1_misses == stats.sectors
         assert stats.l2_hits + stats.l2_misses == stats.l1_misses

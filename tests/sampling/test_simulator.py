@@ -92,14 +92,22 @@ class TestSimulation:
         assert schedulers <= set(range(VoltaV100.schedulers_per_sm))
         assert all(sample.cycle <= result.wave_cycles for sample in result.samples)
 
+    def test_samples_carry_the_sm_id(self, toy_traces):
+        traces, blocks = toy_traces
+        result = SMSimulator(VoltaV100, sample_period=4, keep_samples=True).simulate(
+            "toy_kernel", traces, blocks, sm_id=7
+        )
+        assert result.samples
+        assert all(sample.sm_id == 7 for sample in result.samples)
+
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             SMSimulator(VoltaV100).simulate("k", [], [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="same length"):
             SMSimulator(VoltaV100).simulate("k", [[]], [0, 1])
 
     def test_invalid_sample_period_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample_period"):
             SMSimulator(VoltaV100, sample_period=0)
 
 
@@ -177,6 +185,19 @@ class TestObservationNeutrality:
                 "fat_kernel", traces, blocks)
             timings[period] = (result.wave_cycles, result.issued_instructions)
         assert len(set(timings.values())) == 1, timings
+
+    @pytest.mark.parametrize("memory_model", ["flat", "hierarchy"])
+    def test_sampling_never_perturbs_execution(self, toy_traces, memory_model):
+        """Execution facts, memory counters included, ignore the period."""
+        traces, blocks = toy_traces
+        facts = []
+        for period in (8, 32, 128):
+            result = SMSimulator(
+                VoltaV100, sample_period=period, memory_model=memory_model
+            ).simulate("toy_kernel", traces, blocks)
+            memory = result.memory.to_dict() if result.memory is not None else None
+            facts.append((result.wave_cycles, result.issued_instructions, memory))
+        assert facts[0] == facts[1] == facts[2]
 
     def test_sampling_density_only_changes_sample_counts(self, toy_traces):
         traces, blocks = toy_traces

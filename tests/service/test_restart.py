@@ -75,8 +75,19 @@ def test_sigkill_restart_replays_results_byte_identically(tmp_path):
         assert view.state == "done"
         before = raw_job_bytes(url, done)
 
-        # Pile a backlog behind a running job, then pull the plug.  Distinct
-        # sample periods so nothing coalesces: the point is the queue.
+        # Park the only worker on a job that cannot finish before the kill
+        # (an uncached whole-GPU run through the memory hierarchy takes
+        # seconds), so the backlog behind it is still queued when the plug
+        # is pulled.  Distinct sample periods so nothing coalesces: the
+        # point is the queue.
+        blocker = client.submit(request_for_case(
+            CASE_ID, arch_flag="sm_70", simulation_scope="whole_gpu",
+            memory_model="hierarchy", cache_policy="bypass",
+        ))
+        deadline = time.monotonic() + 60.0
+        while client.job(blocker).state != "running":
+            assert time.monotonic() < deadline, "blocker never started"
+            time.sleep(0.01)
         backlog = [
             client.submit(request_for_case(
                 CASE_ID, arch_flag="sm_70", sample_period=period,
@@ -85,7 +96,11 @@ def test_sigkill_restart_replays_results_byte_identically(tmp_path):
         ]
         sigkill(process)
 
-        survivor, url2 = start_daemon(tmp_path, store, cache_dir)
+        # A second worker runs the backlog while the recovered blocker
+        # occupies the first.
+        survivor, url2 = start_daemon(
+            tmp_path, store, cache_dir, extra=("--workers", "2")
+        )
         client2 = ServiceClient(url2, timeout=10.0)
 
         # 1) The completed result replays byte for byte.

@@ -1,4 +1,4 @@
-"""The simulator benchmark regression gate: pairing, backends, medians.
+"""The simulator benchmark regression gate: pairing, medians, history.
 
 These tests drive :mod:`benchmarks.check_simulator_regression` (and the
 median-of-repeats selection in :mod:`benchmarks.simulator_smoke`) on
@@ -32,12 +32,11 @@ def gate():
     return load("check_simulator_regression")
 
 
-def block(scope="single_wave", memory_model="flat", backend="vector",
-          cases=("a", "b"), rate=100_000, **extra):
+def block(scope="single_wave", memory_model="flat", cases=("a", "b"),
+          rate=100_000, **extra):
     payload = {
         "simulation_scope": scope,
         "memory_model": memory_model,
-        "simulator_backend": backend,
         "sample_period": 8,
         "cases": list(cases),
         "cycles_per_second": rate,
@@ -50,43 +49,34 @@ def summary(*blocks):
     return {"benchmark": "simulator_smoke", "measurements": list(blocks)}
 
 
-class TestBackendIdentity:
-    def test_backends_pair_independently(self, gate):
-        reference = summary(block(backend="vector", rate=200_000),
-                            block(backend="object", rate=100_000))
-        fresh = summary(block(backend="object", rate=99_000),
-                        block(backend="vector", rate=198_000))
+class TestBlockIdentity:
+    def test_configurations_pair_independently(self, gate):
+        reference = summary(block(scope="single_wave", rate=200_000),
+                            block(scope="whole_gpu", rate=100_000))
+        fresh = summary(block(scope="whole_gpu", rate=99_000),
+                        block(scope="single_wave", rate=198_000))
         assert gate.check(fresh, reference, max_drop=0.30) == ""
 
-    def test_vector_regression_fails_even_when_object_holds(self, gate):
-        reference = summary(block(backend="vector", rate=200_000),
-                            block(backend="object", rate=100_000))
-        fresh = summary(block(backend="object", rate=100_000),
-                        block(backend="vector", rate=120_000))
+    def test_one_regressed_block_fails_even_when_the_other_holds(self, gate):
+        reference = summary(block(scope="single_wave", rate=200_000),
+                            block(scope="whole_gpu", rate=100_000))
+        fresh = summary(block(scope="whole_gpu", rate=100_000),
+                        block(scope="single_wave", rate=120_000))
         error = gate.check(fresh, reference, max_drop=0.30)
-        assert "backend=vector" in error
+        assert "single_wave+flat" in error
         assert "regressed" in error
 
-    def test_missing_vector_block_fails(self, gate):
-        """A fresh run that lost the vector core cannot pass on object alone."""
-        reference = summary(block(backend="vector"), block(backend="object"))
-        fresh = summary(block(backend="object"))
+    def test_missing_block_fails(self, gate):
+        """A fresh run cannot pass by skipping a pinned configuration."""
+        reference = summary(block(scope="single_wave"), block(scope="whole_gpu"))
+        fresh = summary(block(scope="single_wave"))
         error = gate.check(fresh, reference, max_drop=0.30)
         assert "no measurement" in error
-        assert "backend=vector" in error
+        assert "whole_gpu+flat" in error
 
-    def test_reference_without_vector_block_is_rejected(self, gate):
-        reference = summary(block(backend="object"))
-        fresh = summary(block(backend="object"), block(backend="vector"))
-        error = gate.check(fresh, reference, max_drop=0.30)
-        assert "no vector-backend block" in error
-
-    def test_legacy_blocks_imply_the_object_core(self, gate):
-        legacy = block(backend="object")
-        del legacy["simulator_backend"]
-        explicit = block(backend="object")
-        assert gate.identity_of(legacy) == gate.identity_of(explicit)
-        assert gate.identity_of(legacy) != gate.identity_of(block(backend="vector"))
+    def test_pre_suite_summary_is_one_block(self, gate):
+        legacy = dict(block(), benchmark="simulator_smoke")
+        assert gate.check(summary(block()), legacy, max_drop=0.30) == ""
 
 
 class TestMedianOfRepeats:
@@ -94,7 +84,7 @@ class TestMedianOfRepeats:
         smoke = load("simulator_smoke")
         rates = iter([999_999, 100_000, 400_000, 200_000])  # warm-up first
 
-        def fake_run_once(case_ids, sample_period, scope, memory_model, backend):
+        def fake_run_once(case_ids, sample_period, scope, memory_model):
             return block(rate=next(rates), cases=case_ids)
 
         monkeypatch.setattr(smoke, "run_once", fake_run_once)
@@ -107,7 +97,7 @@ class TestMedianOfRepeats:
         smoke = load("simulator_smoke")
         calls = []
 
-        def fake_run_once(case_ids, sample_period, scope, memory_model, backend):
+        def fake_run_once(case_ids, sample_period, scope, memory_model):
             calls.append(1)
             return block(rate=123, cases=case_ids)
 
@@ -128,8 +118,8 @@ class TestHistoryAppend:
         import json
 
         path = tmp_path / "BENCH_history.jsonl"
-        fresh = summary(block(backend="vector", rate=200_000),
-                        block(backend="object", rate=100_000))
+        fresh = summary(block(scope="single_wave", rate=200_000),
+                        block(scope="whole_gpu", rate=100_000))
         gate.append_history(path, gate.history_entry(fresh, "", "2026-08-08T03:23:00Z"))
         gate.append_history(path, gate.history_entry(fresh, "regressed 40%",
                                                      "2026-08-09T03:23:00Z"))
@@ -138,11 +128,11 @@ class TestHistoryAppend:
         assert all(entry["benchmark"] == "simulator_smoke" for entry in lines)
         first = lines[0]["blocks"]
         assert len(first) == 2
-        assert {b["simulator_backend"] for b in first} == {"vector", "object"}
+        assert {b["simulation_scope"] for b in first} == {"single_wave", "whole_gpu"}
         assert all(b["cycles_per_second"] for b in first)
 
     def test_history_entries_keep_only_identity_and_rate(self, gate):
-        noisy = block(backend="vector", rate=1, cycles_per_second_runs=[1, 2, 3],
+        noisy = block(rate=1, cycles_per_second_runs=[1, 2, 3],
                       wall_seconds=9.9)
         entry = gate.history_entry(summary(noisy), "", "now")
         (recorded,) = entry["blocks"]
@@ -153,8 +143,8 @@ class TestHistoryAppend:
     def test_cli_appends_history_even_on_gate_failure(self, gate, tmp_path):
         import json
 
-        reference = summary(block(backend="vector", rate=200_000))
-        fresh = summary(block(backend="vector", rate=50_000))
+        reference = summary(block(rate=200_000))
+        fresh = summary(block(rate=50_000))
         fresh_path = tmp_path / "fresh.json"
         reference_path = tmp_path / "reference.json"
         fresh_path.write_text(json.dumps(fresh))
