@@ -1,8 +1,9 @@
-"""Pipeline batch driver: sequential vs. parallel vs. warm-cache wall time.
+"""Table 3 batches: sequential vs. parallel vs. warm-cache wall time.
 
 ``pytest benchmarks/bench_pipeline_batch.py --benchmark-only`` sweeps a
-representative Table 3 subset three ways through
-:class:`~repro.pipeline.batch.BatchAdvisor`:
+representative Table 3 subset three ways, each through an
+:class:`~repro.api.session.AdvisingSession` passed to
+:func:`~repro.evaluation.table3.evaluate_table3`:
 
 1. sequential, no cache (the seed code's behaviour),
 2. parallel across 4 worker processes, cold cache,
@@ -19,6 +20,7 @@ import shutil
 import tempfile
 import time
 
+from repro.api.session import AdvisingSession
 from repro.evaluation.table3 import evaluate_table3
 from repro.workloads.registry import case_by_name
 
@@ -50,22 +52,24 @@ def test_pipeline_batch(benchmark):
     cache_dir = tempfile.mkdtemp(prefix="gpa-bench-cache-")
     try:
         started = time.perf_counter()
-        sequential = evaluate_table3(cases, jobs=1)
+        sequential = evaluate_table3(cases, session=AdvisingSession(jobs=1))
         sequential_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        parallel = evaluate_table3(cases, jobs=4, cache_dir=cache_dir)
+        parallel = evaluate_table3(
+            cases, session=AdvisingSession(jobs=4, cache=cache_dir)
+        )
         parallel_s = time.perf_counter() - started
 
         warm = benchmark.pedantic(
             evaluate_table3,
             args=(cases,),
-            kwargs={"jobs": 1, "cache_dir": cache_dir},
+            kwargs={"session": AdvisingSession(jobs=1, cache=cache_dir)},
             iterations=1,
             rounds=3,
         )
         started = time.perf_counter()
-        evaluate_table3(cases, jobs=1, cache_dir=cache_dir)
+        evaluate_table3(cases, session=AdvisingSession(jobs=1, cache=cache_dir))
         warm_s = time.perf_counter() - started
 
         print()

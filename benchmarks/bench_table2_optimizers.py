@@ -9,8 +9,8 @@ pass.
 
 from __future__ import annotations
 
-from repro.advisor.advisor import GPA
-from repro.workloads.registry import case_by_name
+from repro.api.request import request_for_case
+from repro.api.session import AdvisingSession
 
 #: Optimizer -> the benchmark whose baseline it should match.
 OPTIMIZER_SHOWCASES = {
@@ -29,12 +29,10 @@ OPTIMIZER_SHOWCASES = {
 
 
 def test_table2_optimizer_catalogue(benchmark):
-    gpa = GPA(sample_period=8)
+    session = AdvisingSession(sample_period=8)
 
     def analyze_one():
-        case = case_by_name("rodinia/hotspot:strength_reduction")
-        setup = case.build_baseline()
-        return gpa.advise(setup.cubin, setup.kernel, setup.config, setup.workload)
+        return session.report_for(request_for_case("rodinia/hotspot:strength_reduction"))
 
     benchmark.pedantic(analyze_one, iterations=1, rounds=3)
 
@@ -43,9 +41,7 @@ def test_table2_optimizer_catalogue(benchmark):
     print(header)
     print("-" * len(header))
     for optimizer_name, case_name in OPTIMIZER_SHOWCASES.items():
-        case = case_by_name(case_name)
-        setup = case.build_baseline()
-        report = gpa.advise(setup.cubin, setup.kernel, setup.config, setup.workload)
+        report = session.report_for(request_for_case(case_name))
         advice = report.advice_for(optimizer_name)
         print(
             f"{optimizer_name:42s} {case_name:42s} "

@@ -16,7 +16,7 @@ each stage of the blamer:
 Run with:  python examples/blamer_walkthrough.py
 """
 
-from repro import GPA, InstructionBlamer, VoltaV100
+from repro import AdvisingRequest, AdvisingSession, InstructionBlamer, VoltaV100
 from repro.blame.coverage import single_dependency_coverage
 from repro.blame.graph import build_dependency_graph
 from repro.blame.pruning import prune_cold_edges
@@ -24,9 +24,13 @@ from repro.workloads.rodinia import btree
 
 
 def main():
-    gpa = GPA(sample_period=8)
+    session = AdvisingSession(sample_period=8)
     setup = btree.baseline()
-    profiled = gpa.profile(setup.cubin, setup.kernel, setup.config, setup.workload)
+    profiled = session.profile(
+        AdvisingRequest.builder()
+        .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
+        .build()
+    )
     profile, structure = profiled.profile, profiled.structure
 
     print("== Raw PC sampling profile (top stalled instructions) ==")

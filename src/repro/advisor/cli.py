@@ -55,12 +55,10 @@ from typing import List, Optional
 
 from repro.advisor.report import render_report
 from repro.api.request import AdvisingRequest, request_for_case
-from repro.api.result import AdvisingResult, dump_jsonl
-from repro.api.session import AdvisingSession
+from repro.api.result import AdvisingResult, dump_jsonl, error_summary
+from repro.api.session import AdvisingSession, ProgressEvent
 from repro.arch.machine import ArchitectureError, architecture_flags
 from repro.cubin.binary import Cubin
-from repro.pipeline.batch import error_summary
-from repro.pipeline.runner import ProgressEvent
 from repro.sampling.memory import MEMORY_MODELS
 from repro.sampling.profiler import SIMULATION_SCOPES
 from repro.sampling.sample import KernelProfile

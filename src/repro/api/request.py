@@ -492,7 +492,7 @@ def request_for_case(
     """
     # Imported lazily: the registry pulls in every workload module, which
     # `import repro.api` must not pay for.
-    from repro.pipeline.batch import _is_registry_case
+    from repro.workloads.registry import is_registry_case
 
     if isinstance(case_or_id, str):
         return AdvisingRequest(
@@ -503,7 +503,7 @@ def request_for_case(
             label=case_or_id,
         )
     case = case_or_id
-    if _is_registry_case(case):
+    if is_registry_case(case):
         return AdvisingRequest(
             source="case", case_id=case.case_id, variant=variant,
             arch_flag=arch_flag, sample_period=sample_period,

@@ -16,9 +16,9 @@ period, the profile cache, the worker count — and executes declarative
   and results cross the pool boundary in their ``to_dict`` wire form — the
   same envelope a service daemon or a remote worker would speak.
 
-The session is the seam every façade now stands on: ``GPA``,
-``BatchAdvisor``, the CLI and the evaluation harnesses are thin adapters
-over it.
+The session is the one executor: the CLI, the Table 3 and Figure 7
+harnesses and the fleet's shard runner all run their work through it.
+Progress is reported through :class:`ProgressEvent` callbacks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.advisor.report import AdviceReport
 from repro.api.request import AdvisingRequest
@@ -36,7 +39,6 @@ from repro.arch.machine import ArchitectureError, GpuArchitecture, VoltaV100, ge
 from repro.optimizers.base import Optimizer
 from repro.optimizers.registry import OptimizerRegistry
 from repro.pipeline.cache import ProfileCache, coerce_cache
-from repro.pipeline.runner import ProgressCallback, ProgressEvent
 from repro.pipeline.stages import (
     AnalyzeRequest,
     AnalyzeStage,
@@ -51,6 +53,23 @@ from repro.structure.program import ProgramStructure, build_program_structure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.staticcheck.report import StaticReport
+
+
+@dataclass(frozen=True)
+class ProgressEvent:
+    """One observation of batch progress."""
+
+    step: str
+    index: int
+    total: int
+    #: ``"start"``, ``"done"`` or ``"error"``.
+    status: str
+    duration: float = 0.0
+    error: Optional[str] = None
+
+
+#: Observer signature: called synchronously; exceptions are the caller's.
+ProgressCallback = Callable[[ProgressEvent], None]
 
 
 class AdvisingSession:
@@ -93,8 +112,8 @@ class AdvisingSession:
         self.optimizers: List[Optimizer] = resolved
         self.registry = OptimizerRegistry(resolved)
 
-        # The default stage pair, shared with the `GPA` façade for
-        # backward-compatible attribute access.
+        # The default stage pair, used whenever a request keeps the
+        # session's own knobs.
         self.profiler = Profiler(
             self.architecture, sample_period=sample_period,
             simulation_scope=simulation_scope, memory_model=memory_model,
@@ -257,9 +276,28 @@ class AdvisingSession:
 
     def advise(self, request: AdvisingRequest, index: int = 0) -> AdvisingResult:
         """Execute one request inline; failures land in ``result.error``."""
-        label = request.describe()
-        arch_flag = request.arch_flag or self.arch_flag
-        period = request.sample_period or self.sample_period
+        started = time.perf_counter()
+        try:
+            if request.source == "profile":
+                profile = request.profile
+                structure = build_program_structure(request.cubin)
+            else:
+                profiled = self.profile(request)
+                profile, structure = profiled.profile, profiled.structure
+            report = self._analyze_stage_for(request).run(
+                AnalyzeRequest(profile=profile, structure=structure)
+            )
+        except Exception:
+            return self._result(
+                request, index, error=traceback.format_exc(),
+                duration=time.perf_counter() - started,
+            )
+        return self._result(
+            request, index, report=report, duration=time.perf_counter() - started
+        )
+
+    def _result(self, request: AdvisingRequest, index: int, **outcome) -> AdvisingResult:
+        """A result for ``request``, stamped with the configuration it ran under."""
         if request.source == "profile":
             # Nothing is simulated: report the scope and memory model the
             # loaded profile was actually collected with, not the session
@@ -269,33 +307,11 @@ class AdvisingSession:
         else:
             scope = request.simulation_scope or self.simulation_scope
             memory_model = request.memory_model or self.memory_model
-        started = time.perf_counter()
-        try:
-            if request.source == "profile":
-                structure = build_program_structure(request.cubin)
-                stage = self._analyze_stage_for(request)
-                report = stage.run(
-                    AnalyzeRequest(profile=request.profile, structure=structure)
-                )
-            else:
-                profiled = self.profile(request)
-                stage = self._analyze_stage_for(request)
-                report = stage.run(
-                    AnalyzeRequest(profile=profiled.profile, structure=profiled.structure)
-                )
-        except Exception:
-            return AdvisingResult(
-                request=request, index=index, label=label,
-                arch_flag=arch_flag, sample_period=period,
-                simulation_scope=scope, memory_model=memory_model,
-                error=traceback.format_exc(),
-                duration=time.perf_counter() - started,
-            )
         return AdvisingResult(
-            request=request, index=index, label=label,
-            arch_flag=arch_flag, sample_period=period,
-            simulation_scope=scope, memory_model=memory_model,
-            report=report, duration=time.perf_counter() - started,
+            request=request, index=index, label=request.describe(),
+            arch_flag=request.arch_flag or self.arch_flag,
+            sample_period=request.sample_period or self.sample_period,
+            simulation_scope=scope, memory_model=memory_model, **outcome,
         )
 
     def report_for(self, request: AdvisingRequest) -> AdviceReport:
@@ -308,7 +324,7 @@ class AdvisingSession:
             return request.cubin, request.kernel, request.config, request.workload
         # Imported lazily: resolving a case id constructs the full benchmark
         # registry, which sessions over inline binaries never need.
-        from repro.pipeline.batch import resolve_case
+        from repro.workloads.registry import resolve_case
 
         case = resolve_case(request.case_id)
         setup = (
@@ -377,24 +393,19 @@ class AdvisingSession:
             }
             for future in as_completed(futures):
                 index = futures[future]
-                request = requests[index]
-                label = request.describe()
                 try:
                     result = AdvisingResult.from_dict(future.result())
                 except Exception:
                     # Pool-level failure: the worker process died or the
                     # payload could not cross the boundary.
-                    result = AdvisingResult(
-                        request=request, index=index, label=label,
-                        arch_flag=request.arch_flag or self.arch_flag,
-                        sample_period=request.sample_period or self.sample_period,
-                        error=traceback.format_exc(),
+                    result = self._result(
+                        requests[index], index, error=traceback.format_exc()
                     )
-                emit(ProgressEvent(label, index, total, "start"))
+                emit(ProgressEvent(result.label, index, total, "start"))
                 status = "done" if result.ok else "error"
                 emit(
                     ProgressEvent(
-                        label, index, total, status, result.duration, result.error
+                        result.label, index, total, status, result.duration, result.error
                     )
                 )
                 yield result

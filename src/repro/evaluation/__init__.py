@@ -6,7 +6,9 @@
   after pruning cold edges (Figure 7);
 * :mod:`repro.evaluation.figure1` — the PC-sampling mental model of Figure 1
   (stall/active ratios from round-robin scheduler sampling);
-* :mod:`repro.evaluation.metrics` — shared helpers (geometric mean, error).
+* :mod:`repro.evaluation.metrics` — shared helpers (geometric mean, error)
+  and the one Table 3 row and aggregate computation, which the fleet
+  (:mod:`repro.evaluation.fleet`) shares.
 
 The ``benchmarks/`` directory wraps these entry points with pytest-benchmark;
 ``examples/`` and ``EXPERIMENTS.md`` use them directly.

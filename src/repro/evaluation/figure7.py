@@ -11,13 +11,13 @@ defined registers) and nw (intricate fully-unrolled control flow) stay lower.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.api.request import request_for_case
+from repro.api.session import AdvisingSession
 from repro.blame.coverage import single_dependency_coverage
 from repro.blame.graph import build_dependency_graph
 from repro.blame.pruning import prune_cold_edges
-from repro.pipeline.batch import BatchAdvisor, BatchConfig, resolve_case
-from repro.pipeline.runner import ProgressCallback
 from repro.workloads.base import BenchmarkCase
 from repro.workloads.registry import rodinia_cases
 
@@ -35,27 +35,20 @@ class CoverageRow:
     nodes: int
 
 
-def coverage_case_worker(config: BatchConfig, case_or_id) -> CoverageRow:
-    """Batch worker: the coverage row of one benchmark's baseline kernel."""
-    from repro.api.request import request_for_case
-
-    case = resolve_case(case_or_id)
-    session = config.build_session()
+def coverage_row(case: BenchmarkCase, session: AdvisingSession) -> CoverageRow:
+    """The coverage row of one benchmark's baseline kernel."""
     profiled = session.profile(
-        request_for_case(case, "baseline", arch_flag=config.arch_flag)
+        request_for_case(case, "baseline", arch_flag=session.arch_flag)
     )
     graph = build_dependency_graph(profiled.profile, profiled.structure)
-    before = single_dependency_coverage(graph)
-    edges_before = len(graph.edges)
     pruned = graph.copy()
-    prune_cold_edges(pruned, profiled.structure, config.architecture)
-    after = single_dependency_coverage(pruned)
+    prune_cold_edges(pruned, profiled.structure, session.architecture)
     return CoverageRow(
         benchmark=case.name,
         kernel=case.kernel,
-        coverage_before=before,
-        coverage_after=after,
-        edges_before=edges_before,
+        coverage_before=single_dependency_coverage(graph),
+        coverage_after=single_dependency_coverage(pruned),
+        edges_before=len(graph.edges),
         edges_after=len(pruned.edges),
         nodes=len(graph.stalled_nodes()),
     )
@@ -63,46 +56,22 @@ def coverage_case_worker(config: BatchConfig, case_or_id) -> CoverageRow:
 
 def evaluate_figure7(
     cases: Optional[Sequence[BenchmarkCase]] = None,
-    sample_period: int = 8,
-    jobs: int = 1,
-    arch_flag: str = "sm_70",
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-    simulation_scope: str = "single_wave",
-    memory_model: str = "flat",
+    session: Optional[AdvisingSession] = None,
 ) -> List[CoverageRow]:
     """Compute coverage rows for every (unique) benchmark.
 
-    Runs through the batch pipeline: ``jobs`` fans benchmarks out across
-    processes, ``cache_dir`` replays already-simulated baseline profiles and
-    ``simulation_scope`` selects the simulation engine and ``memory_model``
-    the memory system the profiles are collected with.
+    Baseline profiles come from ``session.profile``, so the session's cache,
+    architecture, sample period, simulation scope and memory model apply.
+    A failing profile raises.
     """
-    unique: List[BenchmarkCase] = []
+    session = session if session is not None else AdvisingSession()
+    rows: List[CoverageRow] = []
     seen = set()
     for case in cases if cases is not None else rodinia_cases():
-        if case.name in seen:
-            continue
-        seen.add(case.name)
-        unique.append(case)
-
-    advisor = BatchAdvisor(
-        BatchConfig(
-            arch_flag=arch_flag,
-            sample_period=sample_period,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
-            jobs=jobs,
-            simulation_scope=simulation_scope,
-            memory_model=memory_model,
-        )
-    )
-    results = advisor.run_cases(coverage_case_worker, unique, progress=progress)
-    failed = [result for result in results if not result.ok]
-    if failed:
-        raise RuntimeError(
-            f"figure 7 sweep failed for {failed[0].case_id}:\n{failed[0].error}"
-        )
-    return [result.value for result in results]
+        if case.name not in seen:
+            seen.add(case.name)
+            rows.append(coverage_row(case, session))
+    return rows
 
 
 def format_figure7(rows: Sequence[CoverageRow]) -> str:

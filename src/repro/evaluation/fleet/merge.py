@@ -2,8 +2,9 @@
 
 The merge step is a pure function of (plan, checkpoint entries): it
 gathers every unit's record, groups them per configuration, and emits one
-deterministic JSON document — per-configuration rows, error geomeans
-(mirroring :class:`~repro.evaluation.table3.Table3Result`), deterministic
+deterministic JSON document — per-configuration rows, the Table 3
+aggregates (:func:`~repro.evaluation.metrics.table3_aggregate`, which
+:class:`~repro.evaluation.table3.Table3Result` also uses), deterministic
 throughput surrogates (simulated samples and kernel cycles; wall-clock
 numbers live in the checkpoints and the CI logs, never here) and the
 failure ledger.
@@ -33,8 +34,8 @@ from repro.evaluation.fleet.checkpoint import (
     load_checkpoint,
 )
 from repro.evaluation.fleet.plan import EvaluationPlan, FleetError
-from repro.evaluation.metrics import geometric_mean
-from repro.pipeline.batch import error_summary
+from repro.api.result import error_summary
+from repro.evaluation.metrics import table3_aggregate
 
 #: Version of the sweep-artifact wire form.
 SWEEP_SCHEMA_VERSION = 1
@@ -141,7 +142,6 @@ def merge_checkpoints(
                 failures.append(
                     {"case": case_id, "error": error_summary(record.error)}
                 )
-        errors = [row["error"] for row in rows]
         configurations.append(
             {
                 "config": config.to_dict(),
@@ -150,18 +150,7 @@ def merge_checkpoints(
                 "failures": failures,
                 "cases_ok": len(rows),
                 "cases_failed": len(failures),
-                "geomean_achieved": geometric_mean(
-                    row["achieved_speedup"] for row in rows
-                ),
-                "geomean_estimated": geometric_mean(
-                    row["estimated_speedup"] for row in rows
-                ),
-                # Same floor Table3Result applies: a perfect estimate must
-                # not zero out the geomean.
-                "geomean_error": geometric_mean(
-                    max(error, 1e-4) for error in errors
-                ),
-                "mean_error": (sum(errors) / len(errors)) if errors else 0.0,
+                **table3_aggregate(rows),
                 "total_samples": sum(row["total_samples"] or 0 for row in rows),
                 "total_baseline_cycles": sum(
                     row["baseline_cycles"] or 0.0 for row in rows

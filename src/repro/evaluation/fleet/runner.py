@@ -8,9 +8,11 @@ satisfies the :class:`~repro.api.advisor.Advisor` protocol — an inline
 running advising daemon (``--via-service``).  Because every knob of a
 :class:`~repro.evaluation.fleet.plan.SweepConfiguration` rides on the
 :class:`~repro.api.request.AdvisingRequest` itself, one advisor serves
-every configuration in the shard, and the numbers are bit-identical to the
-serial :func:`~repro.evaluation.table3.evaluate_table3` harness by the
-simulator's determinism contract.
+every configuration in the shard.  Each unit's outcome comes from
+:func:`~repro.evaluation.metrics.case_outcome`, the computation
+:func:`~repro.evaluation.table3.evaluate_table3` also uses, so the numbers
+are bit-identical to the Table 3 harness by the simulator's determinism
+contract.
 
 Failure taxonomy (this drives the CI retry policy, see
 :mod:`repro.evaluation.exitcodes`):
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
+from repro.api.session import ProgressCallback, ProgressEvent
 from repro.evaluation.fleet.checkpoint import (
     ShardCheckpoint,
     UnitRecord,
@@ -40,7 +43,6 @@ from repro.evaluation.fleet.checkpoint import (
     store_checkpoint,
 )
 from repro.evaluation.fleet.plan import EvaluationPlan, FleetError, WorkUnit
-from repro.pipeline.runner import ProgressCallback, ProgressEvent
 
 
 class CaseFailure(Exception):
@@ -74,48 +76,21 @@ def unit_request(unit: WorkUnit, variant: str):
 def evaluate_unit(advisor, unit: WorkUnit) -> dict:
     """One unit's Table 3 outcome, derived from two ``advise`` calls.
 
-    Identical numbers to :func:`repro.pipeline.batch.evaluate_case_outcome`
-    (the baseline report carries the same profile the profile stage would
-    return), but expressed against the :class:`~repro.api.advisor.Advisor`
-    protocol so it runs equally over an inline session or a service client.
-    Raises :class:`CaseFailure` when either variant's advising failed.
+    Expressed against the :class:`~repro.api.advisor.Advisor` protocol, so
+    it runs equally over an inline session or a service client.  Raises
+    :class:`CaseFailure` when either variant's advising failed (the
+    optimized variant is not advised once the baseline has failed).
     """
-    from repro.evaluation.metrics import relative_error
+    from repro.evaluation.metrics import case_outcome
     from repro.workloads.registry import case_by_name
 
-    case = case_by_name(unit.case_id)
-    baseline = advisor.advise(unit_request(unit, "baseline"))
-    if not baseline.ok:
-        raise CaseFailure(baseline.error or "baseline advising failed")
-    optimized = advisor.advise(unit_request(unit, "optimized"))
-    if not optimized.ok:
-        raise CaseFailure(optimized.error or "optimized advising failed")
-
-    baseline_report = baseline.report
-    baseline_cycles = baseline_report.profile.statistics.kernel_cycles
-    optimized_cycles = optimized.report.profile.statistics.kernel_cycles
-    achieved = baseline_cycles / optimized_cycles if optimized_cycles else 1.0
-
-    advice = baseline_report.advice_for(case.optimizer_name)
-    estimated = advice.estimated_speedup if advice is not None else 1.0
-    applicable = [
-        item.optimizer for item in baseline_report.advice if item.applicable
-    ]
-    rank = (
-        applicable.index(case.optimizer_name) + 1
-        if case.optimizer_name in applicable
-        else None
-    )
-    return {
-        "case_id": case.case_id,
-        "baseline_cycles": baseline_cycles,
-        "optimized_cycles": optimized_cycles,
-        "achieved_speedup": achieved,
-        "estimated_speedup": estimated,
-        "error": relative_error(estimated, achieved),
-        "optimizer_rank": rank,
-        "total_samples": baseline_report.profile.total_samples,
-    }
+    results = []
+    for variant in ("baseline", "optimized"):
+        result = advisor.advise(unit_request(unit, variant))
+        if not result.ok:
+            raise CaseFailure(result.error or f"{variant} advising failed")
+        results.append(result)
+    return case_outcome(case_by_name(unit.case_id), *results)
 
 
 @dataclass

@@ -2,38 +2,37 @@
 
 For each row the harness
 
-1. profiles the baseline kernel on the simulated V100 and runs GPA's dynamic
-   analyzer on the profile (the *estimated* speedup is the matched
-   optimizer's estimate; its rank among the applicable suggestions is also
-   recorded);
-2. profiles the hand-optimized variant of the same kernel (the code change
+1. advises the baseline kernel on the simulated V100 (the *estimated*
+   speedup is the matched optimizer's estimate; its rank among the
+   applicable suggestions is also recorded);
+2. advises the hand-optimized variant of the same kernel (the code change
    the paper applied) and computes the *achieved* speedup as the ratio of
    estimated kernel cycles;
 3. reports the estimate error ``|estimated - achieved| / achieved``.
 
-Absolute times are simulator cycles, not the paper's microseconds; only the
-speedups and their ordering are meaningful for comparison.
+Both variants of every case run as one batch through an
+:class:`~repro.api.session.AdvisingSession`, and each row comes from
+:func:`~repro.evaluation.metrics.case_outcome`, the computation the fleet
+runner shares.  Absolute times are simulator cycles, not the paper's
+microseconds; only the speedups and their ordering are meaningful for
+comparison.
 """
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.advisor.advisor import GPA
-from repro.evaluation.metrics import geometric_mean
-from repro.pipeline.batch import (
-    BatchAdvisor,
-    BatchConfig,
-    error_summary,
-    evaluate_case_outcome,
-)
-from repro.pipeline.runner import ProgressCallback
+from repro.api.request import request_for_case
+from repro.api.result import error_summary
+from repro.api.session import AdvisingSession, ProgressCallback
+from repro.evaluation.metrics import case_outcome, table3_aggregate
 from repro.workloads.base import BenchmarkCase
 from repro.workloads.registry import all_cases
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.api.session import AdvisingSession
+#: The two profiles every row compares.
+VARIANTS = ("baseline", "optimized")
 
 
 @dataclass
@@ -50,6 +49,12 @@ class Table3Row:
     optimizer_rank: Optional[int]
     total_samples: int
 
+    @classmethod
+    def from_outcome(cls, case: BenchmarkCase, outcome: dict) -> "Table3Row":
+        """The row of a :func:`~repro.evaluation.metrics.case_outcome` dict."""
+        fields = {key: value for key, value in outcome.items() if key != "case_id"}
+        return cls(case=case, **fields)
+
     @property
     def name(self) -> str:
         return self.case.name
@@ -64,105 +69,88 @@ class Table3Result:
     """All rows plus the aggregate statistics the paper reports."""
 
     rows: List[Table3Row] = field(default_factory=list)
-    #: Cases that failed during a batch sweep, as (case_id, traceback) pairs;
+    #: Cases that failed during the sweep, as (case_id, traceback) pairs;
     #: one bad case never kills the whole table.
     failures: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
+    def aggregate(self) -> dict:
+        return table3_aggregate(vars(row) for row in self.rows)
+
+    @property
     def geomean_achieved(self) -> float:
-        return geometric_mean(row.achieved_speedup for row in self.rows)
+        return self.aggregate["geomean_achieved"]
 
     @property
     def geomean_estimated(self) -> float:
-        return geometric_mean(row.estimated_speedup for row in self.rows)
+        return self.aggregate["geomean_estimated"]
 
     @property
     def geomean_error(self) -> float:
-        return geometric_mean(max(row.error, 1e-4) for row in self.rows)
+        return self.aggregate["geomean_error"]
 
     @property
     def mean_error(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(row.error for row in self.rows) / len(self.rows)
-
-
-def _row_from_outcome(case: BenchmarkCase, outcome: dict) -> Table3Row:
-    """Build a :class:`Table3Row` from a batch-worker outcome dict."""
-    return Table3Row(
-        case=case,
-        baseline_cycles=outcome["baseline_cycles"],
-        optimized_cycles=outcome["optimized_cycles"],
-        achieved_speedup=outcome["achieved_speedup"],
-        estimated_speedup=outcome["estimated_speedup"],
-        error=outcome["error"],
-        optimizer_rank=outcome["optimizer_rank"],
-        total_samples=outcome["total_samples"],
-    )
+        return self.aggregate["mean_error"]
 
 
 def evaluate_case(
-    case: BenchmarkCase,
-    gpa: Optional[GPA] = None,
-    sample_period: int = 8,
-    session: Optional["AdvisingSession"] = None,
+    case: BenchmarkCase, session: Optional[AdvisingSession] = None
 ) -> Table3Row:
-    """Evaluate one Table 3 row (profile baseline, advise, profile optimized).
+    """Evaluate one Table 3 row inline (advise baseline, advise optimized).
 
-    ``session`` is the preferred engine; the legacy ``gpa`` argument is kept
-    for compatibility (its internal session is used).
+    Raises :class:`~repro.api.result.AdvisingError` if either variant fails.
     """
-    if session is None:
-        if gpa is not None:
-            session = gpa.session
-        else:
-            from repro.api.session import AdvisingSession
-
-            session = AdvisingSession(sample_period=sample_period)
-    return _row_from_outcome(case, evaluate_case_outcome(case, session))
+    session = session if session is not None else AdvisingSession()
+    baseline, optimized = (
+        session.advise(request_for_case(case, variant, arch_flag=session.arch_flag))
+        for variant in VARIANTS
+    )
+    return Table3Row.from_outcome(case, case_outcome(case, baseline, optimized))
 
 
 def evaluate_table3(
     cases: Optional[Sequence[BenchmarkCase]] = None,
-    sample_period: int = 8,
-    jobs: int = 1,
-    arch_flag: str = "sm_70",
-    cache_dir: Optional[str] = None,
+    session: Optional[AdvisingSession] = None,
     progress: Optional[ProgressCallback] = None,
-    simulation_scope: str = "single_wave",
-    memory_model: str = "flat",
 ) -> Table3Result:
     """Evaluate every Table 3 row (or the supplied subset).
 
-    Each case's baseline + optimized profiles are pipeline jobs: ``jobs > 1``
-    fans registry cases across worker processes, ``cache_dir`` replays
-    previously simulated profiles from disk, ``arch_flag`` retargets the
-    sweep onto any registered architecture, and ``simulation_scope``
-    selects the simulation engine (``"whole_gpu"`` measures whole-kernel
-    cycles across every SM instead of extrapolating one wave), and
-    ``memory_model`` selects the memory system (``"hierarchy"`` services
-    accesses through the coalescing L1/L2/DRAM model).  Per-case
-    failures land in :attr:`Table3Result.failures` instead of aborting the
-    sweep.
+    Each case contributes a baseline and an optimized request, and the
+    whole batch runs through ``session.advise_many``: the session's
+    ``jobs`` fans registry cases across worker processes, its cache replays
+    previously simulated profiles, and its architecture, sample period,
+    simulation scope and memory model configure every profile.  Per-case
+    failures, including an ad-hoc case whose setup raises, land in
+    :attr:`Table3Result.failures` instead of aborting the sweep.
     """
+    session = session if session is not None else AdvisingSession()
     case_list = list(cases) if cases is not None else all_cases()
-    advisor = BatchAdvisor(
-        BatchConfig(
-            arch_flag=arch_flag,
-            sample_period=sample_period,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
-            jobs=jobs,
-            simulation_scope=simulation_scope,
-            memory_model=memory_model,
-        )
-    )
-    result = Table3Result()
-    for case, outcome in zip(case_list, advisor.evaluate_table3(case_list, progress=progress)):
-        if outcome.ok:
-            result.rows.append(_row_from_outcome(case, outcome.value))
+    setup_errors = {}
+    requests = []
+    for position, case in enumerate(case_list):
+        try:
+            pair = [
+                request_for_case(case, variant, arch_flag=session.arch_flag)
+                for variant in VARIANTS
+            ]
+        except Exception:
+            setup_errors[position] = traceback.format_exc()
+            continue
+        requests.extend(pair)
+    results = iter(session.advise_many(requests, progress=progress))
+    table = Table3Result()
+    for position, case in enumerate(case_list):
+        if position in setup_errors:
+            table.failures.append((case.case_id, setup_errors[position]))
+            continue
+        baseline, optimized = next(results), next(results)
+        if baseline.ok and optimized.ok:
+            outcome = case_outcome(case, baseline, optimized)
+            table.rows.append(Table3Row.from_outcome(case, outcome))
         else:
-            result.failures.append((outcome.case_id, outcome.error))
-    return result
+            table.failures.append((case.case_id, baseline.error or optimized.error))
+    return table
 
 
 def format_table3(result: Table3Result, include_paper: bool = True) -> str:
@@ -255,7 +243,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
     import json
     import sys
-    import traceback
     from pathlib import Path
 
     from repro.evaluation.exitcodes import (
@@ -307,16 +294,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr, flush=True)
 
     try:
-        result = evaluate_table3(
-            cases,
+        session = AdvisingSession(
+            architecture=args.arch_flag,
             sample_period=args.sample_period,
+            cache=args.cache_dir,
             jobs=args.jobs,
-            arch_flag=args.arch_flag,
-            cache_dir=args.cache_dir,
-            progress=progress,
             simulation_scope=args.simulation_scope,
             memory_model=args.memory_model,
         )
+        result = evaluate_table3(cases, session=session, progress=progress)
     except Exception:
         traceback.print_exc()
         print("sweep harness failed before producing a table; retry the run",

@@ -1,20 +1,17 @@
 """The staged advising pipeline.
 
-``GPA.advise`` is conceptually two stages — *profile* (simulate a kernel
-launch and collect PC samples) and *analyze* (blame, match, estimate) — but
-the seed code ran them as one opaque call.  This package makes the stages
-explicit so they can be cached, skipped, or fanned out independently:
+Advising is two stages — *profile* (simulate a kernel launch and collect
+PC samples) and *analyze* (blame, match, estimate) — kept explicit so they
+can be cached, skipped, or fanned out independently:
 
 * :mod:`repro.pipeline.stages` — :class:`ProfileStage` and
-  :class:`AnalyzeStage`, the typed units every harness composes;
+  :class:`AnalyzeStage`, the typed units the advising session composes;
 * :mod:`repro.pipeline.cache` — an on-disk profile cache keyed by a digest
   of (binary, kernel, launch config, workload, architecture, sample
-  period), so re-running a sweep skips simulation entirely;
-* :mod:`repro.pipeline.batch` — :class:`BatchAdvisor`, the process-parallel
-  driver that sweeps benchmark cases with deterministic result ordering and
-  per-case error capture;
-* :mod:`repro.pipeline.runner` — the small plan/execute driver with
-  progress callbacks that the sequential paths share.
+  period), so re-running a sweep skips simulation entirely.
+
+Batches of requests, inline or across a process pool, run through
+:class:`~repro.api.session.AdvisingSession`.
 """
 
 from repro.pipeline.cache import ProfileCache, profile_cache_key
@@ -25,22 +22,13 @@ from repro.pipeline.stages import (
     ProfileStage,
     retarget,
 )
-from repro.pipeline.batch import BatchAdvisor, BatchConfig, BatchResult
-from repro.pipeline.runner import PipelineRunner, PipelineStep, ProgressEvent, StepOutcome
 
 __all__ = [
     "AnalyzeRequest",
     "AnalyzeStage",
-    "BatchAdvisor",
-    "BatchConfig",
-    "BatchResult",
-    "PipelineRunner",
-    "PipelineStep",
     "ProfileCache",
     "ProfileRequest",
     "ProfileStage",
-    "ProgressEvent",
-    "StepOutcome",
     "profile_cache_key",
     "retarget",
 ]

@@ -204,7 +204,7 @@ class StaticChecker:
 
 def lint_case(case_or_id, variant: str = "baseline", **checker_kwargs) -> StaticReport:
     """Lint one registry case (accepts a case id or a ``BenchmarkCase``)."""
-    from repro.pipeline.batch import resolve_case
+    from repro.workloads.registry import resolve_case
 
     case = resolve_case(case_or_id)
     setup = case.build_optimized() if variant == "optimized" else case.build_baseline()

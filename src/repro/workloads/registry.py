@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Union
 
 from repro.workloads.base import BenchmarkCase
 from repro.workloads.rodinia import (
@@ -70,3 +70,22 @@ def case_by_name(name: str) -> BenchmarkCase:
         if case.name == name or case.kernel == name:
             return case
     raise KeyError(f"no benchmark case named {name!r}; known: {case_names()}")
+
+
+def resolve_case(case_or_id: Union[str, BenchmarkCase]) -> BenchmarkCase:
+    """Accept a registry ``case_id`` or a :class:`BenchmarkCase` object."""
+    if isinstance(case_or_id, str):
+        return case_by_name(case_or_id)
+    return case_or_id
+
+
+def is_registry_case(case: BenchmarkCase) -> bool:
+    """Whether ``case`` is the registry's own object for its ``case_id``.
+
+    Only registry cases can travel by id (to a pool worker or a daemon);
+    an ad-hoc case must be materialized from its setup builders.
+    """
+    try:
+        return case_by_name(case.case_id) is case
+    except KeyError:
+        return False

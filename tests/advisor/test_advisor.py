@@ -1,13 +1,14 @@
-"""Tests for the GPA facade, the report format and the CLI."""
+"""Tests for the analyzers, the report format and the CLI."""
 
 import json
 
 import pytest
 
-from repro.advisor.advisor import GPA
 from repro.advisor.cli import main as cli_main
 from repro.advisor.report import render_report
 from repro.advisor.static_analyzer import StaticAnalyzer
+from repro.api.request import AdvisingRequest
+from repro.api.session import AdvisingSession
 from repro.sampling.profiler import Profiler
 
 
@@ -51,12 +52,19 @@ class TestAdviceReport:
         assert payload["totals"]["total_samples"] > 0
 
 
-class TestGPAFacade:
+class TestSessionAdvising:
     def test_advise_equals_profile_plus_analyze(self, toy_cubin, toy_config, toy_workload):
-        gpa = GPA(sample_period=8)
-        report = gpa.advise(toy_cubin, "toy_kernel", toy_config, toy_workload)
+        session = AdvisingSession(sample_period=8)
+        request = (
+            AdvisingRequest.builder()
+            .binary(toy_cubin, "toy_kernel", toy_config, toy_workload)
+            .build()
+        )
+        report = session.report_for(request)
         assert report.kernel == "toy_kernel"
         assert report.advice
+        profiled = session.profile(request)
+        assert session.advise_profiled(profiled).to_dict() == report.to_dict()
 
     def test_analyze_offline_profile(self, toy_cubin, toy_config, toy_workload, tmp_path):
         """The offline workflow: dump the profile + binary, reload, analyze."""
@@ -68,7 +76,9 @@ class TestGPAFacade:
         profile_path = Profiler.dump(profiled, tmp_path)
         restored_profile = Profiler.load_profile(profile_path)
         restored_cubin = Cubin.from_json((tmp_path / "toy_module.json").read_text())
-        report = GPA().analyze(restored_profile, build_program_structure(restored_cubin))
+        report = AdvisingSession().analyze(
+            restored_profile, build_program_structure(restored_cubin)
+        )
         assert report.advice
         assert report.profile.total_samples == profiled.profile.total_samples
 

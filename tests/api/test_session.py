@@ -7,7 +7,7 @@ import pytest
 from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.result import AdvisingError, AdvisingResult, dump_jsonl, load_jsonl
 from repro.api.schema import ApiValidationError
-from repro.api.session import AdvisingSession
+from repro.api.session import AdvisingSession, ProgressEvent
 from repro.pipeline.cache import ProfileCache
 
 SUBSET = ["rodinia/backprop:warp_balance", "rodinia/gaussian:thread_increase"]
@@ -27,19 +27,6 @@ class TestAdvise:
         assert result.sample_period == 8
         assert result.report.advice
         assert result.duration > 0.0
-
-    def test_matches_legacy_gpa_facade(self, session):
-        from repro.advisor.advisor import GPA
-        from repro.workloads.registry import case_by_name
-
-        case = case_by_name(SUBSET[0])
-        setup = case.build_baseline()
-        with pytest.deprecated_call():
-            legacy = GPA(sample_period=8).advise(
-                setup.cubin, setup.kernel, setup.config, setup.workload
-            )
-        modern = session.report_for(request_for_case(SUBSET[0]))
-        assert legacy.to_dict() == modern.to_dict()
 
     def test_binary_request(self, session, toy_cubin, toy_config, toy_workload):
         request = (
@@ -211,6 +198,13 @@ class TestBatchModes:
         for left, right in zip(inline, pooled):
             assert left.to_dict()["report"] == right.to_dict()["report"]
 
+    def test_inline_error_capture(self, session):
+        results = session.advise_many(
+            [request_for_case(SUBSET[0]), request_for_case("no/such:case")]
+        )
+        assert results[0].ok
+        assert not results[1].ok and "KeyError" in results[1].error
+
     def test_pool_error_capture(self):
         pooled = AdvisingSession(sample_period=8, jobs=2)
         results = pooled.advise_many(
@@ -218,6 +212,29 @@ class TestBatchModes:
         )
         assert not results[0].ok and "KeyError" in results[0].error
         assert results[1].ok
+
+    def test_pool_level_failure_keeps_the_requests_configuration(self, monkeypatch):
+        def broken_from_dict(payload):
+            raise RuntimeError("result lost crossing the pool boundary")
+
+        # Patched in this (the parent) process only: workers still advise
+        # and serialize, and every collected result fails to reload.
+        monkeypatch.setattr(AdvisingResult, "from_dict", broken_from_dict)
+        pooled = AdvisingSession(sample_period=8, jobs=2)
+        requests = [
+            request_for_case(
+                name, simulation_scope="whole_gpu", memory_model="hierarchy"
+            )
+            for name in ("no/such:case", "no/other:case")
+        ]
+        results = pooled.advise_many(requests)
+        assert [result.index for result in results] == [0, 1]
+        for request, result in zip(requests, results):
+            assert not result.ok
+            assert "result lost crossing the pool boundary" in result.error
+            assert result.label == request.describe()
+            assert result.simulation_scope == "whole_gpu"
+            assert result.memory_model == "hierarchy"
 
     def test_progress_events_come_in_adjacent_pairs(self):
         events = []
@@ -257,6 +274,81 @@ class TestBatchModes:
         results = session.advise_many([request_for_case(name) for name in SUBSET])
         assert all(result.ok for result in results)
         assert all(len(result.report.advice) == 3 for result in results)
+
+
+class TestInlineProgress:
+    """Progress-event invariants of inline ``stream`` with one failing request."""
+
+    REQUESTS = (SUBSET[0], "no/such:case", SUBSET[1])
+
+    @pytest.fixture(scope="class")
+    def streamed(self, session):
+        events = []
+        requests = [request_for_case(name) for name in self.REQUESTS]
+        results = list(session.stream(requests, progress=events.append))
+        return events, results
+
+    def test_start_and_finish_are_adjacent_per_request(self, streamed):
+        events, _ = streamed
+        assert [(event.step, event.status) for event in events] == [
+            (SUBSET[0], "start"), (SUBSET[0], "done"),
+            ("no/such:case", "start"), ("no/such:case", "error"),
+            (SUBSET[1], "start"), (SUBSET[1], "done"),
+        ]
+        for start, finish in zip(events[::2], events[1::2]):
+            assert start.index == finish.index
+
+    def test_indices_are_sequential_and_totals_constant(self, streamed):
+        events, results = streamed
+        assert [event.index for event in events[::2]] == [0, 1, 2]
+        assert [result.index for result in results] == [0, 1, 2]
+        assert {event.total for event in events} == {3}
+
+    def test_start_events_carry_no_duration_or_error(self, streamed):
+        events, _ = streamed
+        for start in events[::2]:
+            assert start.duration == 0.0 and start.error is None
+        failed = events[3]
+        assert failed.duration >= 0.0 and "KeyError" in failed.error
+
+    def test_finish_events_report_the_results(self, streamed):
+        events, results = streamed
+        finals = events[1::2]
+        assert [event.duration for event in finals] == [r.duration for r in results]
+        assert [event.error for event in finals] == [r.error for r in results]
+
+    def test_empty_batch_emits_nothing(self, session):
+        events = []
+        assert list(session.stream([], progress=events.append)) == []
+        assert events == []
+
+    def test_event_is_frozen(self):
+        event = ProgressEvent("x", 0, 1, "start")
+        with pytest.raises(AttributeError):
+            event.status = "done"
+
+
+class TestSessionArchitecture:
+    """A session built for one architecture advises the whole batch on it."""
+
+    @staticmethod
+    def statistics(arch_flag):
+        session = AdvisingSession(architecture=arch_flag, sample_period=8)
+        report = session.report_for(
+            request_for_case(SUBSET[1], arch_flag=session.arch_flag)
+        )
+        return report.profile.statistics.to_dict()
+
+    def test_turing_session_diverges_from_volta(self):
+        assert self.statistics("sm_70") != self.statistics("sm_75")
+
+    def test_ampere_batch_completes(self):
+        ampere = AdvisingSession(architecture="sm_80", sample_period=8)
+        results = ampere.advise_many(
+            [request_for_case(name, arch_flag="sm_80") for name in SUBSET]
+        )
+        assert all(result.ok for result in results)
+        assert {result.arch_flag for result in results} == {"sm_80"}
 
 
 class TestJsonl:

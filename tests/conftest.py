@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.advisor.advisor import GPA
+from repro.api.session import AdvisingSession
 
 
 def pytest_configure(config):
@@ -88,10 +88,9 @@ def toy_blame(toy_profiled):
 
 @pytest.fixture(scope="session")
 def toy_report(toy_profiled):
-    gpa = GPA(sample_period=4)
-    return gpa.advise_profiled(toy_profiled)
+    return AdvisingSession(sample_period=4).advise_profiled(toy_profiled)
 
 
 @pytest.fixture(scope="session")
-def gpa():
-    return GPA(sample_period=8)
+def advising_session():
+    return AdvisingSession(sample_period=8)

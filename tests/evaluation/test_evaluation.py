@@ -60,13 +60,22 @@ class TestTable3:
         if abs(result.geomean_error - result.mean_error) * 100 >= 0.1:
             assert f"{result.mean_error * 100:6.1f}%" not in geomean_line
 
-    def test_simulation_scope_parameter_reaches_the_batch_config(self):
-        from repro.pipeline.batch import BatchConfig
+    def test_requests_run_through_the_given_session(self):
+        from repro.api.session import AdvisingSession
 
-        config = BatchConfig(simulation_scope="whole_gpu")
-        session = config.build_session()
-        assert session.simulation_scope == "whole_gpu"
-        assert session.profile_stage.simulation_scope == "whole_gpu"
+        class RecordingSession(AdvisingSession):
+            def advise_many(self, requests, progress=None):
+                self.requests = list(requests)
+                return super().advise_many(self.requests, progress=progress)
+
+        session = RecordingSession(architecture="sm_75")
+        result = evaluate_table3([case_by_name("rodinia/backprop:warp_balance")],
+                                 session=session)
+        assert len(result.rows) == 1
+        assert [request.variant for request in session.requests] == [
+            "baseline", "optimized"
+        ]
+        assert {request.arch_flag for request in session.requests} == {"sm_75"}
 
 
 class TestFigure7:

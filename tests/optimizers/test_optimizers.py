@@ -8,7 +8,8 @@ the inefficiency must not be matched spuriously.
 
 import pytest
 
-from repro.advisor.advisor import GPA
+from repro.api.request import request_for_case
+from repro.api.session import AdvisingSession
 from repro.optimizers.base import AnalysisContext, OptimizerCategory
 from repro.optimizers.registry import OptimizerRegistry, default_optimizers
 from repro.optimizers.stall_elimination import WarpBalanceOptimizer
@@ -18,13 +19,13 @@ from repro.workloads.registry import case_by_name
 
 @pytest.fixture(scope="module")
 def advisor():
-    return GPA(sample_period=8)
+    return AdvisingSession(sample_period=8)
 
 
 def report_for(advisor, case_name, optimized=False):
     case = case_by_name(case_name)
-    setup = case.build_optimized() if optimized else case.build_baseline()
-    return case, advisor.advise(setup.cubin, setup.kernel, setup.config, setup.workload)
+    variant = "optimized" if optimized else "baseline"
+    return case, advisor.report_for(request_for_case(case, variant))
 
 
 class TestRegistry:

@@ -207,7 +207,7 @@ class TestWorkerCrash:
         job = daemon.store.get(job_id)
         assert job.state == "failed"
         assert "worker process died mid-simulation" in job.error
-        # Mirroring BatchAdvisor error capture: a well-formed failed result
+        # Mirroring the session's error capture: a well-formed failed result
         # is synthesized, with the traceback in result.error.
         result = AdvisingResult.from_dict(job.result)
         assert not result.ok

@@ -43,7 +43,7 @@ def test_golden_report_is_byte_stable(case_id):
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_static_occupancy_matches_arch_calculator(case_id):
     """The report's declared-occupancy block is exactly ``arch/occupancy``."""
-    from repro.pipeline.batch import resolve_case
+    from repro.workloads.registry import resolve_case
 
     case = resolve_case(case_id)
     setup = case.build_baseline()

@@ -40,7 +40,7 @@ def test_session_lint_matches_engine(session):
 
 
 def test_session_lint_rejects_profile_requests(session, advised):
-    from repro.pipeline.batch import resolve_case
+    from repro.workloads.registry import resolve_case
 
     setup = resolve_case(CASE).build_baseline()
     profile_request = AdvisingRequest(

@@ -2,20 +2,22 @@
 
 import pytest
 
-from repro.advisor.advisor import GPA
+from repro.advisor.report import render_report
+from repro.api.request import request_for_case
+from repro.api.session import AdvisingSession
 from repro.evaluation.table3 import evaluate_case
 from repro.workloads.registry import case_by_name
 
 
 @pytest.fixture(scope="module")
 def advisor():
-    return GPA(sample_period=8)
+    return AdvisingSession(sample_period=8)
 
 
 def test_hotspot_listing1_strength_reduction(advisor):
     """Listing 1: hotspot's double-constant multiply is traced to conversions
     and the Strength Reduction fix yields a real speedup."""
-    row = evaluate_case(case_by_name("rodinia/hotspot:strength_reduction"))
+    row = evaluate_case(case_by_name("rodinia/hotspot:strength_reduction"), advisor)
     assert row.achieved_speedup > 1.05
     assert row.optimizer_rank is not None and row.optimizer_rank <= 5
 
@@ -24,11 +26,10 @@ def test_btree_listing2_code_reordering(advisor):
     """Listing 2: b+tree's short load-to-use distance is matched by Code
     Reordering and widening the distance speeds the kernel up."""
     case = case_by_name("rodinia/b+tree:code_reorder")
-    setup = case.build_baseline()
-    report = advisor.advise(setup.cubin, setup.kernel, setup.config, setup.workload)
+    report = advisor.report_for(request_for_case(case))
     advice = report.advice_for("GPUCodeReorderingOptimizer")
     assert advice.applicable and advice.matched_samples > 0
-    row = evaluate_case(case)
+    row = evaluate_case(case, advisor)
     # Reordering only moves a handful of independent operations, so the real
     # gain is small (the paper reports 1.15x; our simulated warps already
     # hide most of the latency) — but it must not be a slowdown.
@@ -38,8 +39,8 @@ def test_btree_listing2_code_reordering(advisor):
 def test_exatensor_case_study_sequence(advisor):
     """Section 7.1: strength reduction first, then memory transaction
     reduction on the updated code — both steps give real speedups."""
-    first = evaluate_case(case_by_name("ExaTENSOR:strength_reduction"))
-    second = evaluate_case(case_by_name("ExaTENSOR:memory_transaction_reduction"))
+    first = evaluate_case(case_by_name("ExaTENSOR:strength_reduction"), advisor)
+    second = evaluate_case(case_by_name("ExaTENSOR:memory_transaction_reduction"), advisor)
     # Each step is at worst neutral and the transaction-reduction step (which
     # relieves the memory-throttle bottleneck) is a clear win.
     assert first.achieved_speedup >= 0.98
@@ -52,9 +53,8 @@ def test_every_advice_report_is_renderable(advisor):
     for name in ("rodinia/nw:warp_balance", "PeleC:block_increase",
                  "Minimod:fast_math"):
         case = case_by_name(name)
-        setup = case.build_baseline()
-        report = advisor.advise(setup.cubin, setup.kernel, setup.config, setup.workload)
-        text = GPA.render(report)
+        report = advisor.report_for(request_for_case(case))
+        text = render_report(report)
         assert case.kernel in text
         assert "estimate speedup" in text
 

@@ -1,15 +1,35 @@
 """Tests for the benchmark-case registry and the synthetic kernels."""
 
+import dataclasses
+
 import pytest
 
+from repro.api.request import request_for_case
 from repro.optimizers.registry import default_optimizers
 from repro.workloads.registry import (
     all_cases,
     application_cases,
     case_by_name,
     case_names,
+    is_registry_case,
+    resolve_case,
     rodinia_cases,
 )
+
+
+def test_resolve_case_accepts_ids_and_case_objects():
+    case = case_by_name("rodinia/hotspot:strength_reduction")
+    assert resolve_case(case.case_id) is case
+    assert resolve_case(case) is case
+    with pytest.raises(KeyError):
+        resolve_case("no/such:case")
+
+
+def test_only_the_registrys_own_objects_are_registry_cases():
+    case = case_by_name("rodinia/hotspot:strength_reduction")
+    assert is_registry_case(case)
+    assert not is_registry_case(dataclasses.replace(case))
+    assert not is_registry_case(dataclasses.replace(case, name="custom/clone"))
 
 
 def test_registry_reproduces_all_26_table3_rows():
@@ -72,8 +92,7 @@ def test_baseline_and_optimized_setups_build(case):
 
 
 @pytest.mark.parametrize("case", rodinia_cases()[:4], ids=lambda case: case.case_id)
-def test_baseline_kernels_profile_cleanly(case, gpa):
-    setup = case.build_baseline()
-    profiled = gpa.profile(setup.cubin, setup.kernel, setup.config, setup.workload)
+def test_baseline_kernels_profile_cleanly(case, advising_session):
+    profiled = advising_session.profile(request_for_case(case))
     assert profiled.profile.total_samples > 0
     assert profiled.simulation.issued_instructions > 0
