@@ -311,13 +311,15 @@ def _build_serve_parser() -> argparse.ArgumentParser:
                         help="on-disk profile cache shared by every worker "
                              "(flock-guarded: safe to share between daemons)")
     parser.add_argument("--store", metavar="PATH", dest="store",
-                        help="SQLite job store: jobs and results survive "
-                             "daemon restarts and are replayed byte-identically "
-                             "(default: in-memory, lost on exit)")
+                        help="file for the SQLite job store: jobs and results "
+                             "survive daemon restarts and are replayed "
+                             "byte-identically (default: the store lives in "
+                             "memory and is lost on exit)")
     parser.add_argument("--eviction-interval", type=float, default=None,
                         metavar="SECONDS",
                         help="also evict expired results on this fixed period "
-                             "(default: only when the store is accessed)")
+                             "(default: only when a job is submitted; expired "
+                             "results are never served either way)")
     parser.add_argument("--no-coalesce", action="store_true",
                         help="disable request coalescing (identical concurrent "
                              "submissions each run their own simulation)")
@@ -454,6 +456,7 @@ def _serve_main(argv: List[str], stop: Optional[threading.Event] = None) -> int:
         server.shutdown()
         server.server_close()
         summary = daemon.shutdown(drain=True)
+        daemon.store.close()
         print(
             f"gpa-advise service stopped: {summary['jobs_served']} jobs served "
             f"({summary['jobs_failed']} failed, {summary['jobs_aborted']} aborted)",

@@ -7,12 +7,12 @@ profile cache and worker pool:
 
 * a bounded FIFO :class:`~repro.service.queue.JobQueue` applies
   backpressure (HTTP 429) instead of accepting unbounded work;
-* a :class:`~repro.service.jobs.JobStore` tracks every job through
-  ``queued -> running -> done | failed`` and TTL-evicts settled results —
-  or, with ``--store``, the SQLite-backed
-  :class:`~repro.service.repository.JobRepository` persists jobs and their
-  result wire forms so a killed-and-restarted daemon replays completed
-  results byte-identically and requeues the interrupted backlog;
+* a SQLite-backed :class:`~repro.service.repository.JobRepository`
+  tracks every job through ``queued -> running -> done | failed`` and
+  TTL-evicts settled results; it lives in memory unless ``--store`` names
+  a file, in which case jobs and their result wire forms persist so a
+  killed-and-restarted daemon replays completed results byte-identically
+  and requeues the interrupted backlog;
 * concurrent identical submissions (same
   :meth:`~repro.api.request.AdvisingRequest.fingerprint`) **coalesce**
   onto one in-flight simulation, whose result fans out to every attached
@@ -67,8 +67,6 @@ from repro.service.jobs import (
     JOB_STATES,
     Job,
     JobCounts,
-    JobRegistry,
-    JobStore,
     TERMINAL_STATES,
 )
 from repro.service.queue import JobQueue
@@ -89,9 +87,7 @@ __all__ = [
     "Job",
     "JobCounts",
     "JobQueue",
-    "JobRegistry",
     "JobRepository",
-    "JobStore",
     "JobView",
     "JOB_STATES",
     "QueueFullError",

@@ -73,10 +73,11 @@ class JobQueue:
         """Re-enqueue recovered job ids, bypassing the capacity bound.
 
         Crash recovery must never reject work the daemon already admitted
-        before it died: every id a persistent store hands back from
-        :meth:`~repro.service.jobs.JobRegistry.recover` is requeued even if
-        that briefly overshoots ``capacity`` — fresh submissions still see
-        the bound (an overshot queue rejects them until it drains).
+        before it died: every id
+        :meth:`~repro.service.repository.JobRepository.recover` hands back
+        is requeued even if that briefly overshoots ``capacity`` — fresh
+        submissions still see the bound (an overshot queue rejects them
+        until it drains).
         """
         with self._not_empty:
             self._items.extend(items)

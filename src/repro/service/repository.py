@@ -1,15 +1,14 @@
-"""The SQLite-backed durable job repository.
+"""The daemon's job store: every job in one SQLite database.
 
-:class:`JobRepository` is the persistent twin of the in-memory
-:class:`~repro.service.jobs.JobStore`: same :class:`JobRegistry
-<repro.service.jobs.JobRegistry>` contract, but every job — its validated
+:class:`JobRepository` holds every job the daemon admits — its validated
 request payload, its state transitions, and its terminal
-``advising_result`` wire form — lives in a SQLite file, so a daemon that is
-killed and restarted keeps serving the results it already computed.  Replay
-is *byte-identical*: result envelopes are stored as the JSON text of the
-exact dict the worker produced, and JSON object order round-trips, so a
-``GET /v1/jobs/<id>`` after a restart serializes the same bytes it would
-have before the crash.
+``advising_result`` wire form.  By default the database lives in memory
+(``":memory:"``) and dies with the process; given a ``--store`` file it
+persists, so a daemon that is killed and restarted keeps serving the
+results it already computed.  Replay is *byte-identical*: result envelopes
+are stored as the JSON text of the exact dict the worker produced, and JSON
+object order round-trips, so a ``GET /v1/jobs/<id>`` after a restart
+serializes the same bytes it would have before the crash.
 
 Durability choices:
 
@@ -32,6 +31,10 @@ Durability choices:
 - **Persistent counters.**  Throughput counters live in a ``counters``
   table so ``/v1/stats`` survives restarts along with the jobs it
   describes.
+- **Reads never write.**  A terminal job whose result has outlived
+  ``ttl`` is filtered out of every read, so it is gone the moment it
+  expires; the rows themselves are deleted by :meth:`JobRepository.create`
+  and :meth:`JobRepository.evict`, which the daemon schedules.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ BUSY_TIMEOUT_MS = 10_000
 
 _COUNTER_NAMES = ("submitted", "done", "failed", "aborted", "evicted", "coalesced")
 
+#: Every column a job view shows (everything but the request ``payload``).
+_VIEW_COLUMNS = (
+    "job_id, idx, label, state, result, error, coalesced_with,"
+    " submitted_at, started_at, finished_at"
+)
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -75,6 +84,8 @@ CREATE TABLE IF NOT EXISTS jobs (
     finished_at    REAL
 );
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs(state);
+-- Only settled jobs have a finished_at, so eviction is a range scan here.
+CREATE INDEX IF NOT EXISTS jobs_by_finished ON jobs(finished_at);
 CREATE TABLE IF NOT EXISTS counters (
     name  TEXT PRIMARY KEY,
     value INTEGER NOT NULL
@@ -87,12 +98,13 @@ class RepositoryStateError(ServiceError):
 
 
 class JobRepository:
-    """A :class:`~repro.service.jobs.JobRegistry` persisted in SQLite.
+    """Thread-safe store of every job the daemon has admitted.
 
-    ``ttl`` has the same meaning as on :class:`JobStore` — how long a
-    *terminal* job's result stays queryable (``None`` disables eviction) —
-    and eviction follows the same contract: piggybacked on access plus an
-    explicit :meth:`evict` the daemon can schedule.
+    ``path`` is a SQLite file, or ``":memory:"`` for a store that lives
+    and dies with its process.  ``ttl`` bounds how long a *terminal* job's
+    result stays queryable (``None`` disables eviction), so a long-running
+    daemon's store is bounded by its traffic rate rather than its uptime;
+    queued and running jobs never expire.
     """
 
     def __init__(self, path: Union[str, Path], ttl: Optional[float] = 900.0,
@@ -206,10 +218,12 @@ class JobRepository:
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                self._conn.execute(
+                cursor = self._conn.execute(
                     "UPDATE jobs SET coalesced_with = ? WHERE job_id = ?",
                     (primary_id, job_id),
                 )
+                if not cursor.rowcount:
+                    raise self._unknown(job_id)
                 self._bump("coalesced", 1)
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -218,14 +232,16 @@ class JobRepository:
             return self.get(job_id)
 
     def finish(self, job_id: str, result: Optional[dict],
-               error: Optional[str]) -> Job:
-        return self._settle(job_id, result, error, aborted=False)
+               error: Optional[str]) -> None:
+        """Move an executed job to ``done``/``failed`` with its result."""
+        self._settle(job_id, result, error, aborted=False)
 
-    def abort(self, job_id: str, error: str) -> Job:
-        return self._settle(job_id, None, error, aborted=True)
+    def abort(self, job_id: str, error: str) -> None:
+        """Fail a job that was dropped from the queue without running."""
+        self._settle(job_id, None, error, aborted=True)
 
     def _settle(self, job_id: str, result: Optional[dict],
-                error: Optional[str], aborted: bool) -> Job:
+                error: Optional[str], aborted: bool) -> None:
         state = "failed" if error is not None else "done"
         now = self._clock()
         with self._lock:
@@ -248,26 +264,29 @@ class JobRepository:
                 self._conn.execute("ROLLBACK")
                 raise
             self._conn.execute("COMMIT")
-            return self.get(job_id)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job:
+        row = self._live_row(f"payload, {_VIEW_COLUMNS}", job_id)
+        return self._materialize(json.loads(row[0]), row[1:])
+
+    def view(self, job_id: str) -> dict:
+        """The ``GET /v1/jobs/<id>`` shape, without decoding the payload."""
+        return self._materialize(None, self._live_row(_VIEW_COLUMNS, job_id)).view()
+
+    def _live_row(self, columns: str, job_id: str) -> tuple:
+        """One job's ``columns``; an unknown or expired job raises."""
         with self._lock:
-            self._evict()
             row = self._conn.execute(
-                "SELECT job_id, idx, payload, label, state, result, error,"
-                " coalesced_with, submitted_at, started_at, finished_at"
-                " FROM jobs WHERE job_id = ?",
-                (job_id,),
+                f"SELECT {columns} FROM jobs WHERE job_id = ?"
+                " AND (finished_at IS NULL OR finished_at > ?)",
+                (job_id, self._deadline()),
             ).fetchone()
         if row is None:
             raise self._unknown(job_id)
-        return self._materialize(row)
-
-    def view(self, job_id: str) -> dict:
-        return self.get(job_id).view()
+        return row
 
     def pending(self) -> List[str]:
         """Ids of every non-terminal job, submission order."""
@@ -336,24 +355,19 @@ class JobRepository:
             self._conn.execute("COMMIT")
             return evicted
 
-    def _evict(self) -> int:
-        """Eviction for callers not already inside a transaction."""
-        if self.ttl is None:
-            return 0
-        return self.evict()
-
     def _evict_in_txn(self) -> int:
         if self.ttl is None:
             return 0
-        deadline = self._clock() - self.ttl
         cursor = self._conn.execute(
-            "DELETE FROM jobs WHERE state IN (?, ?)"
-            " AND finished_at IS NOT NULL AND finished_at <= ?",
-            (*TERMINAL_STATES, deadline),
+            "DELETE FROM jobs WHERE finished_at <= ?", (self._deadline(),)
         )
         if cursor.rowcount:
             self._bump("evicted", cursor.rowcount)
         return cursor.rowcount
+
+    def _deadline(self) -> float:
+        """Terminal jobs that finished at or before this instant expired."""
+        return float("-inf") if self.ttl is None else self._clock() - self.ttl
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -366,11 +380,13 @@ class JobRepository:
             (delta, name),
         )
 
-    def _materialize(self, row: tuple) -> Job:
-        (job_id, index, payload, label, state, result, error,
-         coalesced_with, submitted_at, started_at, finished_at) = row
+    @staticmethod
+    def _materialize(payload: Optional[dict], row: tuple) -> Job:
+        """A :class:`Job` from a row of :data:`_VIEW_COLUMNS`."""
+        (job_id, index, label, state, result, error, coalesced_with,
+         submitted_at, started_at, finished_at) = row
         return Job(
-            job_id=job_id, index=index, payload=json.loads(payload),
+            job_id=job_id, index=index, payload=payload,
             label=label, state=state,
             result=None if result is None else json.loads(result),
             error=error, submitted_at=submitted_at, started_at=started_at,

@@ -175,11 +175,23 @@ class TestCoalescing:
         assert wait_until(lambda: daemon.store.get(blocker).state == "running")
         ids = submit_identical(daemon, 3, sample_period=4)
 
-        summary = daemon.shutdown(drain=False)
+        done = {}
+        shutdown_thread = threading.Thread(
+            target=lambda: done.setdefault("summary", daemon.shutdown(drain=False))
+        )
+        shutdown_thread.start()
+        # The queued primary and both followers are aborted while the
+        # blocker still holds the only worker.
+        assert wait_until(
+            lambda: all(daemon.store.get(job_id).state == "failed" for job_id in ids)
+        )
+        gated.gate.set()
+        shutdown_thread.join(10.0)
+        assert not shutdown_thread.is_alive()
         for job_id in ids:
             job = daemon.store.get(job_id)
             assert job.state == "failed" and job.error is not None
-        assert summary["jobs_aborted"] >= 3
+        assert done["summary"]["jobs_aborted"] >= 3
 
 
 class TestCoalescingOverHTTP:

@@ -114,6 +114,18 @@ class TestRoundTrip:
         assert stats["queue_depth"] == 0
         assert stats["cache"] is None  # no cache configured
 
+    def test_stats_name_the_job_store(self, make_daemon, tmp_path):
+        default = make_daemon()
+        assert default.stats()["persistence"] == {
+            "backend": "memory", "path": None,
+        }
+        path = str(tmp_path / "jobs.sqlite3")
+        durable = make_daemon(store_path=path)
+        assert durable.stats()["persistence"] == {
+            "backend": "sqlite", "path": path,
+        }
+        assert (tmp_path / "jobs.sqlite3").is_file()
+
     def test_healthz_echoes_config(self, make_daemon):
         config = ServiceConfig(arch_flag="sm_80", sample_period=16)
         daemon = make_daemon(config)
@@ -309,8 +321,11 @@ class TestShutdown:
         with pytest.raises(ServiceError):
             daemon.start()  # a stopped daemon does not restart
 
-    def test_results_stay_queryable_after_shutdown(self, make_daemon):
-        daemon = make_daemon()
+    @pytest.mark.parametrize("in_file", [False, True], ids=["memory", "file"])
+    def test_results_stay_queryable_after_shutdown(self, make_daemon, tmp_path,
+                                                   in_file):
+        store_path = str(tmp_path / "jobs.sqlite3") if in_file else None
+        daemon = make_daemon(store_path=store_path)
         job_id = daemon.submit(hotspot_request().to_dict())
         assert wait_until(lambda: daemon.store.get(job_id).terminal)
         daemon.shutdown()
